@@ -47,6 +47,22 @@ PYTHONPATH=src python -m pytest -x -q
 echo "==> chaos suite"
 PYTHONPATH=src python -m pytest -x -q -m chaos
 
+echo "==> dev mode (crypto + hardware under -X dev, ResourceWarning fatal)"
+# A warning at interpreter shutdown (a helper process still running, an
+# unclosed pipe) does not change pytest's exit code, so stderr is
+# searched too.  Test output goes to stdout; stderr is captured.
+DEV_STATUS=0
+DEV_ERR=$( { PYTHONPATH=src python -X dev -W error::ResourceWarning \
+    -m pytest -x -q tests/crypto tests/hardware 2>&1 1>&3 3>&-; } 3>&1 ) \
+    || DEV_STATUS=$?
+[ -z "$DEV_ERR" ] || printf '%s\n' "$DEV_ERR" >&2
+if [ "$DEV_STATUS" -ne 0 ] || printf '%s' "$DEV_ERR" | grep -q ResourceWarning
+then
+    echo "dev-mode stage failed (pytest status $DEV_STATUS;" \
+        "see ResourceWarning above)" >&2
+    exit 1
+fi
+
 echo "==> obs (telemetry reconciliation + snapshot schema)"
 PYTHONPATH=src python -m repro.cli obs --shards 2 --records 48 \
     --check scripts/obs_schema.json >/dev/null

@@ -16,6 +16,7 @@ precision, so 512/1024/2048-bit moduli pose no representation issues.
 
 from __future__ import annotations
 
+import math
 import secrets
 from typing import Tuple
 
@@ -64,11 +65,14 @@ def modinv(a: int, m: int) -> int:
     """Return the multiplicative inverse of *a* modulo *m*.
 
     Raises :class:`ValueError` when ``gcd(a, m) != 1`` (no inverse exists).
+    The built-in ``pow`` computes it natively; :func:`egcd` is for callers
+    that need the Bézout coefficients themselves.
     """
-    g, x, _ = egcd(a % m, m)
-    if g != 1:
-        raise ValueError(f"{a} has no inverse modulo {m} (gcd={g})")
-    return x % m
+    try:
+        return pow(a, -1, m)
+    except ValueError:
+        raise ValueError(
+            f"{a} has no inverse modulo {m} (gcd={math.gcd(a, m)})") from None
 
 
 def _miller_rabin_witness(a: int, d: int, r: int, n: int) -> bool:

@@ -10,6 +10,15 @@ verify every proof the untrusted main CPU presents.  This module provides
 the underlying primitive: deterministic, hash-then-pad RSA signing with
 CRT acceleration, plus key (de)serialization so keys survive migration.
 
+Every private-key operation with a modulus of 1024 bits or more runs
+its two CRT halves at once: the q-half in the caller, the p-half in a
+helper interpreter (:class:`_PowLane`), because the built-in ``pow``
+holds the interpreter lock and a thread could not overlap them.  Shorter
+keys compute both halves in the caller.  The lane changes wall-clock
+time only; the result is checked against the public key before it is
+released, so a wrong half can cost a signature but never produce a
+wrong one.
+
 Security notes
 --------------
 This is a *reproduction-grade* implementation: the math is real (forging a
@@ -24,8 +33,15 @@ expiry.
 
 from __future__ import annotations
 
+import atexit
 import hashlib
-from dataclasses import dataclass
+import os
+import select
+import subprocess
+import sys
+import threading
+import time
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from repro.core.errors import SignatureError
@@ -79,6 +95,178 @@ def _pkcs1_pad(digest: bytes, hash_name: str, em_len: int) -> bytes:
 
 def _hash(message: bytes, hash_name: str) -> bytes:
     return hashlib.new(hash_name, message).digest()
+
+
+#: Seconds the exit hook waits for the helper to leave before killing it.
+_LANE_EXIT_WAIT_S = 2.0
+
+
+class _PowLane:
+    """A helper interpreter that computes one ``pow`` while the caller
+    computes another.
+
+    The helper is stateless: each request is one line of hex ``base
+    exponent modulus``, each answer one line of hex.  It is launched on
+    first use, never at import, and imports nothing from this package.
+    One lane serves the whole process: cores belong to the machine, not
+    to a key or a card, and cards have no close hook to stop a helper of
+    their own.
+
+    Halves mod a prime shorter than :attr:`MIN_BITS` are both computed
+    here.  Such a half (about 0.2 ms for the 256-bit primes of a 512-bit
+    key) takes about as long as waking an idle helper, so the lane would
+    save little and make each signature's cost depend on the scheduler.
+
+    After each answer the helper polls its input for :attr:`POLL_S`
+    before it blocks.  A helper that blocks at once lets its core go idle,
+    and on a virtual machine an idle core can take milliseconds to be
+    woken; the next request of a burst of signatures usually comes well
+    within the poll.
+
+    The caller waits for an answer, polling as the helper does, at most
+    as long as its own half took: a helper that has not been scheduled in
+    that time may take milliseconds more, while computing the far half
+    here costs about what the near half did.  A late answer is discarded
+    when it arrives, and no request is sent while one is still owed.
+    When the helper cannot be launched or has died, the far half is
+    computed here for the rest of the process's life.
+    """
+
+    #: Bits of the smallest prime modulus whose halves use the helper (the
+    #: primes of a 1024-bit key).
+    MIN_BITS = 512
+
+    #: Seconds the helper polls its input after an answer before blocking.
+    POLL_S = 0.002
+
+    #: The helper's whole program.  It reads its input with ``os.read``,
+    #: not a buffered reader, so ``select`` sees every byte not yet read.
+    PROGRAM = (
+        "import os, select, time\n"
+        "inbox = b''\n"
+        "while True:\n"
+        f"    until = time.monotonic() + {POLL_S!r}\n"
+        "    while not select.select([0], [], [], 0)[0]:\n"
+        "        if time.monotonic() >= until:\n"
+        "            break\n"
+        "    chunk = os.read(0, 4096)\n"
+        "    if not chunk:\n"
+        "        break\n"
+        "    inbox += chunk\n"
+        "    while b'\\n' in inbox:\n"
+        "        line, _, inbox = inbox.partition(b'\\n')\n"
+        "        b, e, m = (int(x, 16) for x in line.split())\n"
+        "        os.write(1, b'%x\\n' % pow(b, e, m))\n"
+    )
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._proc: Optional[subprocess.Popen] = None
+        # select() waits on pipes only on POSIX; elsewhere every half is
+        # computed in-process.
+        self._down = os.name != "posix"
+        #: An answer is still owed for a request the caller stopped waiting for.
+        self._late = False
+        #: Bytes read from the helper and not yet consumed.
+        self._inbox = b""
+
+    def pow_pair(self, far: Tuple[int, int, int],
+                 near: Tuple[int, int, int]) -> Tuple[int, int]:
+        """``(pow(*far), pow(*near))``, with *far* computed by the helper
+        when its modulus has at least :attr:`MIN_BITS` bits."""
+        if far[2].bit_length() < self.MIN_BITS:
+            return pow(*far), pow(*near)
+        with self._lock:
+            if self._send(b"%x %x %x\n" % far):
+                try:
+                    # The clock only bounds a wait; it selects which process
+                    # computes a value, never the value.
+                    start = time.perf_counter()  # wormlint: disable=W002
+                    near_value = pow(*near)
+                    # Wait at most as long again as the near half took.
+                    far_value = self._receive(
+                        2 * time.perf_counter() - start)  # wormlint: disable=W002
+                except BaseException:
+                    # Its answer may still arrive: never read it as the
+                    # answer to a later request.
+                    self._shut()
+                    raise
+                if far_value is None:
+                    far_value = pow(*far)
+                return far_value, near_value
+        return pow(*far), pow(*near)
+
+    def close(self) -> None:
+        """Stop the helper (also the exit hook); later calls run in-process."""
+        with self._lock:
+            self._shut()
+
+    def _send(self, request: bytes) -> bool:
+        """Pass *request* to the helper, launching it on first use; False
+        when there is no helper to pass it to, or it still owes an answer."""
+        if self._proc is None and not self._down:
+            try:
+                self._proc = subprocess.Popen(
+                    [sys.executable, "-I", "-S", "-c", self.PROGRAM],
+                    stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                    stderr=subprocess.DEVNULL, bufsize=0)
+            except OSError:
+                self._down = True
+            else:
+                atexit.register(self.close)
+        if self._proc is None:
+            return False
+        if self._late and self._receive(0.0) is None:
+            return False
+        try:
+            self._proc.stdin.write(request)
+        except BrokenPipeError:
+            self._shut()  # the helper died
+            return False
+        return True
+
+    def _receive(self, deadline: float) -> Optional[int]:
+        """The helper's next answer, or None when it has not come by
+        *deadline*, a ``time.perf_counter`` value (the answer is then
+        owed), or the helper died.
+
+        The wait polls rather than blocks, for the reason the helper
+        does: a core left idle can take longer to wake than the rest of
+        the wait.
+        """
+        fd = self._proc.stdout.fileno()
+        while b"\n" not in self._inbox:  # wormlint: disable=W009 - os.read on the helper's pipe, not a card crossing
+            while not select.select([fd], [], [], 0)[0]:
+                if time.perf_counter() >= deadline:  # wormlint: disable=W002
+                    self._late = True
+                    return None
+            chunk = os.read(fd, 4096)
+            if not chunk:
+                self._shut()  # EOF: the helper died
+                return None
+            self._inbox += chunk
+        line, _, self._inbox = self._inbox.partition(b"\n")
+        self._late = False
+        return int(line, 16)
+
+    def _shut(self) -> None:
+        """Close the helper's input, wait for it to exit, then kill it."""
+        proc, self._proc = self._proc, None
+        self._down = True
+        if proc is None:
+            return
+        proc.stdin.close()
+        try:
+            proc.wait(timeout=_LANE_EXIT_WAIT_S)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+        # Closed last, so an answer still being written lands in the pipe.
+        proc.stdout.close()
+
+
+#: The process's one pow lane.
+_LANE = _PowLane()
 
 
 @dataclass(frozen=True)
@@ -136,6 +324,16 @@ class RsaPrivateKey:
     p: int
     q: int
     bits: int
+    # CRT exponents and coefficient, derived once from the fields above;
+    # not part of the key's identity, repr or serialized form.
+    dp: int = field(init=False, repr=False, compare=False)
+    dq: int = field(init=False, repr=False, compare=False)
+    qinv: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "dp", self.d % (self.p - 1))
+        object.__setattr__(self, "dq", self.d % (self.q - 1))
+        object.__setattr__(self, "qinv", modinv(self.q, self.p))
 
     @property
     def byte_length(self) -> int:
@@ -148,19 +346,20 @@ class RsaPrivateKey:
     def sign(self, message: bytes, hash_name: str = "sha256") -> bytes:
         """Produce a deterministic PKCS#1 v1.5 signature on *message*."""
         em = _pkcs1_pad(_hash(message, hash_name), hash_name, self.byte_length)
-        m = _bytes_to_int(em)
-        # CRT: compute m^d mod p and mod q, then recombine.
-        dp = self.d % (self.p - 1)
-        dq = self.d % (self.q - 1)
-        qinv = modinv(self.q, self.p)
-        sp = pow(m, dp, self.p)
-        sq = pow(m, dq, self.q)
-        h = (qinv * (sp - sq)) % self.p
+        return _int_to_bytes(self._private_op(_bytes_to_int(em)),
+                             self.byte_length)
+
+    def _private_op(self, x: int) -> int:
+        """``x^d mod n`` for ``x < n``: the CRT halves mod p (in the pow
+        lane) and mod q (here), recombined and checked before release."""
+        sp, sq = _LANE.pow_pair((x, self.dp, self.p), (x, self.dq, self.q))
+        h = (self.qinv * (sp - sq)) % self.p
         s = sq + h * self.q
-        # Defend against CRT fault injection: verify before releasing.
-        if pow(s, self.e, self.n) != m:
+        # Defend against CRT faults and a wrong lane answer: verify before
+        # releasing.
+        if pow(s, self.e, self.n) != x:
             raise SignatureError("CRT self-check failed (fault detected)")
-        return _int_to_bytes(s, self.byte_length)
+        return s
 
     def to_dict(self) -> dict:
         return {
@@ -211,7 +410,7 @@ def kem_decapsulate(private: RsaPrivateKey, ciphertext: bytes) -> bytes:
     c = _bytes_to_int(ciphertext)
     if c >= private.n:
         raise SignatureError("KEM ciphertext out of range")
-    r = pow(c, private.d, private.n)
+    r = private._private_op(c)
     return hashlib.sha256(_int_to_bytes(r, private.byte_length)).digest()
 
 

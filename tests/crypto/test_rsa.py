@@ -85,6 +85,7 @@ class TestSignVerify:
         # A "signature" numerically >= n must be rejected outright.
         bogus = (kp512.public.n + 1).to_bytes(65, "big")[-64:]
         too_big = b"\xff" * 64
+        assert not kp512.public.verify(b"msg", bogus)
         assert not kp512.public.verify(b"msg", too_big)
 
     def test_sha1_fallback_for_small_moduli(self, kp384):
@@ -112,6 +113,11 @@ class TestSignVerify:
 _CACHED: dict = {}
 
 
+@pytest.fixture(scope="module")
+def kem_keys(kp512):
+    return {512: kp512.private, 1024: generate_keypair(1024).private}
+
+
 class TestRsaKem:
     def test_roundtrip(self, kp512):
         from repro.crypto.rsa import kem_decapsulate, kem_encapsulate
@@ -135,6 +141,20 @@ class TestRsaKem:
             assert kem_decapsulate(other.private, ciphertext) != secret
         except SignatureError:
             pass
+
+    @pytest.mark.parametrize("bits", [512, 1024])
+    @given(value=st.integers(min_value=0, max_value=(1 << 1024) - 1))
+    @settings(max_examples=15, deadline=None)
+    def test_decapsulation_is_the_full_size_private_power(self, kem_keys,
+                                                          bits, value):
+        import hashlib
+        from repro.crypto.rsa import kem_decapsulate
+        private = kem_keys[bits]
+        c = value % private.n
+        r = pow(c, private.d, private.n)
+        length = private.byte_length
+        assert kem_decapsulate(private, c.to_bytes(length, "big")) == \
+            hashlib.sha256(r.to_bytes(length, "big")).digest()
 
     def test_malformed_ciphertext_rejected(self, kp512):
         from repro.crypto.rsa import kem_decapsulate
