@@ -86,7 +86,7 @@ class EncryptedWormStore:
             "chacha", self._store.host.profile.sha_seconds(
                 len(plaintext), self._store.host.hash_block_size))
         receipt = self._store.write([ciphertext], **write_kwargs)
-        self._wrapped[receipt.sn] = self._store.scpu.wrap_key(dek)
+        self._wrapped[receipt.sn] = self._store.scpu_rt.wrap_key(dek)
         return receipt
 
     # -- reads ----------------------------------------------------------------
@@ -99,7 +99,7 @@ class EncryptedWormStore:
         wrapped = self._wrapped.get(sn)
         if wrapped is None:
             raise WormError(f"SN {sn} has no wrapped DEK (shredded?)")
-        dek = self._store.scpu.unwrap_key(wrapped)
+        dek = self._store.scpu_rt.unwrap_key(wrapped)
         self._store.host.meter.charge(
             "chacha", self._store.host.profile.sha_seconds(
                 len(verified.data), self._store.host.hash_block_size))
@@ -123,7 +123,7 @@ class EncryptedWormStore:
                   if self._store.vrdt.is_active(sn)}
         destroyed = len(self._wrapped) - len(active)
         survivors = list(active.items())
-        rewrapped = self._store.scpu.rotate_epoch([w for _, w in survivors])
+        rewrapped = self._store.scpu_rt.rotate_epoch([w for _, w in survivors])
         self._wrapped = {sn: new for (sn, _), new in zip(survivors, rewrapped)}
         self.rotations += 1
         return destroyed
@@ -157,10 +157,10 @@ class EncryptedWormStore:
 
         migrated_wraps = {sn: w for sn, w in self._wrapped.items()
                           if sn in report.sn_mapping}
-        dest_public, dest_cert = dest.store.scpu.key_transport_public(ca)
-        bundle = self._store.scpu.export_deks(
+        dest_public, dest_cert = dest.store.scpu_rt.key_transport_public(ca)
+        bundle = self._store.scpu_rt.export_deks(
             migrated_wraps, dest_public, dest_cert, ca.root_public_key)
-        rewrapped = dest.store.scpu.import_deks(bundle)
+        rewrapped = dest.store.scpu_rt.import_deks(bundle)
         for old_sn, wrapped in rewrapped.items():
             dest._wrapped[report.sn_mapping[old_sn]] = wrapped
         return report

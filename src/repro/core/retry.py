@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional
 
 from repro.core.errors import ScpuUnavailableError, TransientFaultError
+from repro.hardware.scpu import BatchOfOne, install_card_ops
 from repro.obs.bus import NULL_BUS, TelemetryBus
 
 __all__ = ["RetryPolicy", "RetryStats", "RetryExecutor", "RetryingScpu"]
@@ -141,16 +142,17 @@ class RetryExecutor:
                 retry_index += 1
 
 
-class RetryingScpu:
+@install_card_ops
+class RetryingScpu(BatchOfOne):
     """An :class:`ScpuLike` view that retries transient faults.
 
-    Wraps a device so every trust-boundary service call runs through a
-    :class:`RetryExecutor`; properties and non-service attributes
-    forward untouched.  :class:`~repro.core.worm.StrongWormStore` uses
-    this *internally* (``store.scpu`` stays the raw device the caller
-    provided) so all of its SCPU call sites — including the window
-    manager's signature refreshes — share one retry policy and one
-    stats ledger.
+    Wraps a device so every card op (:data:`~repro.hardware.scpu.CARD_OPS`)
+    runs through a :class:`RetryExecutor` — a singular helper as its
+    batch op; properties and non-service attributes forward untouched.
+    :class:`~repro.core.worm.StrongWormStore` uses this *internally*
+    (``store.scpu`` stays the raw device the caller provided) so all of
+    its SCPU call sites — including the window manager's signature
+    refreshes — share one retry policy and one stats ledger.
     """
 
     def __init__(self, inner, executor: RetryExecutor) -> None:
@@ -165,22 +167,9 @@ class RetryingScpu:
     def retry_stats(self) -> RetryStats:
         return self._executor.stats
 
+    def _card_call(self, op: str, *args: Any, **kwargs: Any) -> Any:
+        return self._executor.call(op, getattr(self._inner, op),
+                                   *args, **kwargs)
+
     def __getattr__(self, name: str):
         return getattr(self._inner, name)
-
-
-def _install_retry_forwarders() -> None:
-    # The faultable-op table *is* the service surface worth retrying.
-    from repro.faults.wrappers import SCPU_FAULTABLE_OPS
-
-    for name in SCPU_FAULTABLE_OPS:
-        def forwarder(self, *args, _name=name, **kwargs):
-            return self._executor.call(
-                _name, getattr(self._inner, _name), *args, **kwargs)
-        forwarder.__name__ = name
-        forwarder.__qualname__ = f"RetryingScpu.{name}"
-        forwarder.__doc__ = f"Retry-gated forward of {name}."
-        setattr(RetryingScpu, name, forwarder)
-
-
-_install_retry_forwarders()

@@ -10,18 +10,13 @@ the system can prove it survives them — see :mod:`repro.core.retry`
 """
 
 from repro.faults.plan import FaultAction, FaultEvent, FaultKind, FaultPlan
-from repro.faults.wrappers import (
-    SCPU_FAULTABLE_OPS,
-    FaultyBlockStore,
-    FaultyScpu,
-)
+from repro.faults.wrappers import FaultyBlockStore, FaultyScpu
 
 __all__ = [
     "FaultAction",
     "FaultEvent",
     "FaultKind",
     "FaultPlan",
-    "SCPU_FAULTABLE_OPS",
     "FaultyBlockStore",
     "FaultyScpu",
 ]

@@ -101,8 +101,12 @@ class FaultPlan:
 
         plan = (FaultPlan(transient_rate=0.05, seed=7)
                 .tamper(after_ops=40)
-                .latency(at=12.0, seconds=0.5, op="witness_write")
-                .crash_before("witness_write", after_ops=100))
+                .latency(at=12.0, seconds=0.5, op="witness_write_batch")
+                .crash_before("witness_write_batch", after_ops=100))
+
+    Ops are the wrapped device's own: for an SCPU, the names in
+    :data:`~repro.hardware.scpu.CARD_OPS` (a singular ``witness_write``
+    call is a ``witness_write_batch`` of one).
 
     ``transient_rate`` injects steady-state transient faults on that
     fraction of calls, from a ``random.Random(seed)`` stream — the same
@@ -160,27 +164,18 @@ class FaultPlan:
 
     # -- consultation --------------------------------------------------------
 
-    def advise(self, op: str, now: float, op_index: int,
-               alias: Optional[str] = None) -> List[FaultAction]:
+    def advise(self, op: str, now: float, op_index: int) -> List[FaultAction]:
         """The fault actions firing on this call (consumes scheduled events).
 
         *op_index* is the wrapped device's 1-based service-call counter.
         Scheduled events are checked first, then the steady-state
         transient draw — exactly one RNG draw per consultation, so the
         random stream is independent of which events are scheduled.
-
-        *alias* is a second operation name the call answers to: a
-        batched entry point is the same card operation as its singular
-        form, so a plan targeting ``strengthen`` must also hit a
-        ``strengthen_batch`` crossing.  An event matching either name
-        fires exactly once.
         """
         self.consulted += 1
         actions: List[FaultAction] = []
         for event in self.events:
-            if event.matches(op, now, op_index) or (
-                    alias is not None
-                    and event.matches(alias, now, op_index)):
+            if event.matches(op, now, op_index):
                 event.fired += 1
                 actions.append(FaultAction(event.kind, seconds=event.seconds))
         if self._rng.random() < self.transient_rate:

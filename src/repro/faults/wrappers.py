@@ -6,8 +6,9 @@
 :class:`~repro.storage.block_store.BlockStore`; both present the wrapped
 object's own interface, so they drop into :class:`StrongWormStore`,
 :class:`ScpuPool`, and :class:`ShardedWormStore` unchanged.  Every
-service call first consults the device's :class:`~repro.faults.plan.FaultPlan`
-and executes whatever fires:
+service call — each op of :data:`~repro.hardware.scpu.CARD_OPS`, or of
+:data:`BLOCK_FAULTABLE_OPS` — first consults the device's
+:class:`~repro.faults.plan.FaultPlan` and executes whatever fires:
 
 * ``crash-before`` → raise :class:`CrashError` before touching the device;
 * ``tamper``       → trip the real enclosure (:meth:`TamperResponder.trip`),
@@ -20,14 +21,16 @@ and executes whatever fires:
 * ``crash-after``  → perform the call, then raise :class:`CrashError`
   (the mid-commit crash point: state changed, caller never heard).
 
-Attributes not in the faultable-operation tables (properties, private
-state, extension methods like the crypto-shredding epoch calls) forward
-untouched, so the wrapper never narrows the device surface.
+A singular SCPU call is a batch of one, so a plan names the batch op
+(``witness_write_batch``, not ``witness_write``); a plan naming an op
+the device does not have is refused on the next call.  Attributes
+outside the op tables (properties, private state) forward untouched, so
+the wrapper never narrows the device surface.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
+from typing import Collection, Iterator, Optional, Sequence
 
 from repro.core.errors import (
     CrashError,
@@ -35,66 +38,22 @@ from repro.core.errors import (
     StorageUnavailableError,
 )
 from repro.faults.plan import FaultAction, FaultKind, FaultPlan
+from repro.hardware.scpu import CARD_OPS, BatchOfOne, install_card_ops
 from repro.storage.block_store import BlockStore
 
-__all__ = ["FaultyScpu", "FaultyBlockStore", "SCPU_FAULTABLE_OPS"]
-
-#: SCPU service operations subject to fault injection: the full
-#: :class:`ScpuLike` method surface (the trust-boundary calls a store
-#: makes).  Property reads and private helpers are never faulted — a
-#: dead card is modelled by the tamper latch, not by flaky attributes.
-SCPU_FAULTABLE_OPS = (
-    "issue_serial_number",
-    "issue_serial_numbers",
-    "advance_sn_base",
-    "sign_sn_base",
-    "sign_sn_current",
-    "sign_migration_manifest",
-    "public_keys",
-    "certify_with",
-    "hash_record_data",
-    "hash_record_data_batch",
-    "verify_deferred_hash",
-    "witness_write",
-    "witness_write_batch",
-    "strengthen",
-    "strengthen_batch",
-    "verify_own_hmac",
-    "verify_envelope",
-    "verify_envelope_batch",
-    "resign_metadata",
-    "make_deletion_proof",
-    "compact_deletion_window",
-    "verify_regulator_credential",
-    "rotate_burst_key",
-    "sign_merkle_root",
-    "accumulator_bootstrap",
-    "accumulator_add",
-    "accumulator_remove",
-    "accumulator_witness",
-    "accumulator_sign_value",
-)
+__all__ = ["FaultyScpu", "FaultyBlockStore"]
 
 #: Block-store operations subject to fault injection.
 BLOCK_FAULTABLE_OPS = ("put", "get", "overwrite", "delete")
-
-#: Batched entry points answer to their singular op name too: a fault
-#: plan written against ``strengthen`` predates (and must survive) the
-#: call site converting to ``strengthen_batch`` — same card operation,
-#: one crossing instead of N.
-_BATCH_OP_ALIASES = {
-    "hash_record_data_batch": "hash_record_data",
-    "witness_write_batch": "witness_write",
-    "strengthen_batch": "strengthen",
-    "verify_envelope_batch": "verify_envelope",
-    "issue_serial_numbers": "issue_serial_number",
-}
 
 
 class _FaultingBase:
     """Shared advise-and-execute machinery of the two wrappers."""
 
     _transient_error: type = ScpuUnavailableError
+    #: The op names this wrapper gates; a plan event naming any other op
+    #: could never fire, so consulting such a plan is an error.
+    _ops: Collection[str] = ()
 
     def __init__(self, plan: Optional[FaultPlan]) -> None:
         self.plan = plan if plan is not None else FaultPlan()
@@ -115,9 +74,13 @@ class _FaultingBase:
         Returns the actions so the caller can honour ``crash-after``
         once the real operation has completed.
         """
+        for event in self.plan.events:
+            if event.op is not None and event.op not in self._ops:
+                raise ValueError(
+                    f"fault plan names op {event.op!r}, which "
+                    f"{type(self).__name__} does not have")
         self._op_index += 1
-        actions = self.plan.advise(op, self._now(), self._op_index,
-                                   alias=_BATCH_OP_ALIASES.get(op))
+        actions = self.plan.advise(op, self._now(), self._op_index)
         for action in actions:
             if action.kind == FaultKind.CRASH_BEFORE:
                 raise CrashError(f"injected crash before {op}")
@@ -132,23 +95,32 @@ class _FaultingBase:
                 self._charge_latency(op, action.seconds)
         return actions
 
-    @staticmethod
-    def _post(op: str, actions: Sequence[FaultAction]) -> None:
+    def _faulted(self, op: str, *args, **kwargs):
+        """Consult the plan, call the wrapped device, then honour
+        ``crash-after``."""
+        actions = self._consult(op)
+        result = getattr(self._inner, op)(*args, **kwargs)
         for action in actions:
             if action.kind == FaultKind.CRASH_AFTER:
                 raise CrashError(f"injected crash after {op}")
+        return result
 
 
-class FaultyScpu(_FaultingBase):
-    """An :class:`ScpuLike` whose service calls pass through a fault plan.
+@install_card_ops
+class FaultyScpu(_FaultingBase, BatchOfOne):
+    """An :class:`ScpuLike` whose card ops pass through a fault plan.
 
-    A ``tamper`` action trips the *inner* card's real enclosure, so
-    zeroization, the dead-card latch, and :class:`TamperedError` all come
-    from the genuine tamper machinery — the wrapper only decides *when*
-    the attack happens.
+    Every op of :data:`~repro.hardware.scpu.CARD_OPS` is gated; the
+    singular helpers are batches of one, so they are gated under their
+    batch op's name.  A ``tamper`` action trips the *inner* card's real
+    enclosure, so zeroization, the dead-card latch, and
+    :class:`TamperedError` all come from the genuine tamper machinery —
+    the wrapper only decides *when* the attack happens.
     """
 
     _transient_error = ScpuUnavailableError
+    _ops = CARD_OPS
+    _card_call = _FaultingBase._faulted
 
     def __init__(self, inner, plan: Optional[FaultPlan] = None) -> None:
         super().__init__(plan)
@@ -169,29 +141,10 @@ class FaultyScpu(_FaultingBase):
         self._inner.tamper.trip()
 
     def __getattr__(self, name: str):
-        # Everything outside the faultable table — properties (now,
-        # clock, meter, tamper, ...), private state, extension methods —
-        # forwards to the wrapped device untouched.
+        # Everything outside the card-op table — properties (now, clock,
+        # meter, tamper, ...), private state — forwards to the wrapped
+        # device untouched.
         return getattr(self._inner, name)
-
-
-def _install_scpu_forwarders() -> None:
-    """Real attributes (not ``__getattr__``) for every faultable op, so
-    the surface stays introspectable and ``ScpuLike`` isinstance-checks
-    see genuine methods."""
-    for name in SCPU_FAULTABLE_OPS:
-        def forwarder(self, *args, _name=name, **kwargs):
-            actions = self._consult(_name)
-            result = getattr(self._inner, _name)(*args, **kwargs)
-            self._post(_name, actions)
-            return result
-        forwarder.__name__ = name
-        forwarder.__qualname__ = f"FaultyScpu.{name}"
-        forwarder.__doc__ = f"Fault-gated forward of {name} to the wrapped SCPU."
-        setattr(FaultyScpu, name, forwarder)
-
-
-_install_scpu_forwarders()
 
 
 class FaultyBlockStore(_FaultingBase, BlockStore):
@@ -202,6 +155,7 @@ class FaultyBlockStore(_FaultingBase, BlockStore):
     """
 
     _transient_error = StorageUnavailableError
+    _ops = BLOCK_FAULTABLE_OPS
 
     def __init__(self, inner: BlockStore, plan: Optional[FaultPlan] = None,
                  clock: Optional[object] = None) -> None:
@@ -216,23 +170,17 @@ class FaultyBlockStore(_FaultingBase, BlockStore):
     def _now(self) -> float:
         return self._clock.now if self._clock is not None else 0.0
 
-    def _io(self, op: str, *args):
-        actions = self._consult(op)
-        result = getattr(self._inner, op)(*args)
-        self._post(op, actions)
-        return result
-
     def put(self, data: bytes) -> str:
-        return self._io("put", data)
+        return self._faulted("put", data)
 
     def get(self, key: str) -> bytes:
-        return self._io("get", key)
+        return self._faulted("get", key)
 
     def overwrite(self, key: str, data: bytes) -> None:
-        return self._io("overwrite", key, data)
+        return self._faulted("overwrite", key, data)
 
     def delete(self, key: str) -> None:
-        return self._io("delete", key)
+        return self._faulted("delete", key)
 
     # Metadata inspection is never faulted: a flaky directory listing
     # models nothing in the threat model and would only break tests.

@@ -34,6 +34,7 @@ from repro.sim.engine import Simulator
 if TYPE_CHECKING:  # annotation-only: keeps this module dependency-light
     from repro.crypto.envelope import SignedEnvelope
     from repro.crypto.keys import Certificate, CertificateAuthority
+    from repro.hardware.scpu import WrappedKey
 
 __all__ = ["OpMeter", "OpRecord", "ScpuLike", "TimedDevice"]
 
@@ -155,7 +156,10 @@ class ScpuLike(Protocol):
     above it) is constructed over "an SCPU" without caring whether that
     is one card or several sharing a keyring.  The protocol is the
     paper's trust-boundary interface: everything here runs inside (or is
-    mediated by) the tamper-responding enclosure.
+    mediated by) the tamper-responding enclosure.  It declares every op
+    of :data:`~repro.hardware.scpu.CARD_OPS` plus the five singular
+    helpers of :class:`~repro.hardware.scpu.BatchOfOne` (each a batch of
+    one, so the card itself is batch-only).
 
     ``@runtime_checkable`` only checks member *presence* on
     ``isinstance``; it is documentation plus a static-typing contract,
@@ -278,6 +282,29 @@ class ScpuLike(Protocol):
 
     def rotate_burst_key(self, ca: Optional["CertificateAuthority"] = None,
                          weak_bits: int = ...) -> Optional["Certificate"]: ...
+
+    def attest(self) -> "SignedEnvelope": ...
+
+    # -- crypto-shredding epochs and enclave-to-enclave key transport -------
+    @property
+    def current_epoch(self) -> int: ...
+
+    def wrap_key(self, dek: bytes) -> "WrappedKey": ...
+
+    def unwrap_key(self, wrapped: "WrappedKey") -> bytes: ...
+
+    def rotate_epoch(self, survivors: Iterable["WrappedKey"]
+                     ) -> List["WrappedKey"]: ...
+
+    def key_transport_public(
+            self, ca: Optional["CertificateAuthority"] = None
+    ) -> Tuple[object, Optional["Certificate"]]: ...
+
+    def export_deks(self, wrapped: Dict[int, "WrappedKey"], dest_public: object,
+                    dest_certificate: Optional["Certificate"],
+                    ca_root_key: object) -> Dict: ...
+
+    def import_deks(self, bundle: Dict) -> Dict[int, "WrappedKey"]: ...
 
 
 class TimedDevice:

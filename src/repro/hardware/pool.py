@@ -18,11 +18,12 @@ unchanged; its aggregate :class:`~repro.hardware.device.OpMeter` views
 let benchmarks attribute cost per card.  For queueing simulations, the
 pool's size maps to ``TimedDevice(capacity=n)``.
 
-The forwarding facade is *generated* (see ``_forward``) rather than
-hand-written per method: one table says which protocol methods go to the
-SN authority and which round-robin to a worker card.  No ``__getattr__``
-is involved — every forwarder is a real attribute, so the surface stays
-explicit, introspectable, and exactly as wide as :class:`ScpuLike`.
+The forwarding facade is *generated* from the card's own surface table,
+:data:`~repro.hardware.scpu.CARD_OPS`, which says for every card op
+whether it goes to the SN authority or round-robins to a worker card.
+No ``__getattr__`` is involved — every forwarder is a real attribute, so
+the surface stays explicit, introspectable, and exactly as wide as the
+card's.
 
 A tamper event on *any* card zeroizes that card only; the pool stays
 operational on the survivors (the keys live in every enclosure), and the
@@ -34,61 +35,26 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from repro.hardware.scpu import ScpuKeyring, SecureCoprocessor
+from repro.hardware.scpu import (
+    CARD_OPS,
+    BatchOfOne,
+    ScpuKeyring,
+    SecureCoprocessor,
+    install_card_ops,
+)
 from repro.hardware.tamper import TamperedError
 
 __all__ = ["ScpuPool"]
 
-#: Protocol methods served by the single SN-authority card (NVRAM state
-#: and durable-key operations that must stay single-writer / consistent).
-_AUTHORITY_METHODS = (
-    "issue_serial_number",
-    "issue_serial_numbers",
-    "advance_sn_base",
-    "sign_sn_base",
-    "sign_migration_manifest",
-    "public_keys",
-    "certify_with",
-    "_keys_or_die",
-    # Authenticated-set backend state (Merkle frontier, accumulator
-    # trapdoors) is NVRAM-like single-writer state: it lives on the
-    # authority card alongside the SN counter it is correlated with.
-    "sign_merkle_root",
-    "accumulator_bootstrap",
-    "accumulator_add",
-    "accumulator_remove",
-    "accumulator_witness",
-    "accumulator_sign_value",
-)
-
-#: Protocol methods round-robined across live cards (the expensive
-#: signing / hashing / verification work the pool exists to parallelize).
-_WORKER_METHODS = (
-    "hash_record_data",
-    "hash_record_data_batch",
-    "verify_deferred_hash",
-    "witness_write",
-    "witness_write_batch",
-    "strengthen",
-    "strengthen_batch",
-    "verify_own_hmac",
-    "verify_envelope",
-    "verify_envelope_batch",
-    "resign_metadata",
-    "make_deletion_proof",
-    "compact_deletion_window",
-    "sign_sn_current",
-    "verify_regulator_credential",
-)
-
 #: Read-only attributes forwarded to the authority card.
 _AUTHORITY_PROPERTIES = (
     "now", "clock", "profile", "hash_block_size", "tamper", "meter",
-    "current_serial_number", "sn_base",
+    "current_serial_number", "sn_base", "current_epoch",
 )
 
 
-class ScpuPool:
+@install_card_ops
+class ScpuPool(BatchOfOne):
     """N secure coprocessors sharing one keyring and one SN authority."""
 
     def __init__(self, cards: Sequence[SecureCoprocessor]) -> None:
@@ -143,6 +109,15 @@ class ScpuPool:
                 return card
         raise TamperedError("every card in the pool has been destroyed")
 
+    def _card_call(self, op: str, *args, **kwargs):
+        """Serve a card op from the card :data:`CARD_OPS` routes it to."""
+        card = (self._authority() if CARD_OPS[op] == "authority"
+                else self._worker())
+        return getattr(card, op)(*args, **kwargs)
+
+    def _keys_or_die(self) -> ScpuKeyring:
+        return self._authority()._keys_or_die()
+
     # -- pool-wide cost attribution -------------------------------------------
 
     def total_cost_seconds(self) -> float:
@@ -173,19 +148,6 @@ class ScpuPool:
         return cert
 
 
-def _forward(names: Sequence[str], picker: str, doc: str) -> None:
-    """Install explicit forwarders for *names* dispatching via *picker*."""
-    for name in names:
-        def forwarder(self, *args, _name=name, _picker=picker, **kwargs):
-            card = getattr(self, _picker)()
-            return getattr(card, _name)(*args, **kwargs)
-        forwarder.__name__ = name
-        forwarder.__qualname__ = f"ScpuPool.{name}"
-        forwarder.__doc__ = (getattr(SecureCoprocessor, name).__doc__
-                             or doc.format(name=name))
-        setattr(ScpuPool, name, forwarder)
-
-
 def _forward_properties(names: Sequence[str]) -> None:
     for name in names:
         def getter(self, _name=name):
@@ -199,8 +161,4 @@ def _forward_properties(names: Sequence[str]) -> None:
         setattr(ScpuPool, name, property(getter, doc=doc))
 
 
-_forward(_AUTHORITY_METHODS, "_authority",
-         "Forwarded to the pool's SN-authority card ({name}).")
-_forward(_WORKER_METHODS, "_worker",
-         "Round-robined to a live worker card ({name}).")
 _forward_properties(_AUTHORITY_PROPERTIES)

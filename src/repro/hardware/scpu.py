@@ -13,8 +13,10 @@ Models the IBM 4764 of §2.2: a tamper-responding enclosure containing
 Everything on this object is *inside the trust boundary*: the adversary
 model may destroy the device (tripping tamper response and zeroization)
 but may never read or alter its state.  The untrusted main CPU interacts
-with it only through the public service methods below — the "certified
-logic" the paper runs inside the enclosure.
+with it only through the service calls named in :data:`CARD_OPS` — the
+"certified logic" the paper runs inside the enclosure.  Bulk operations
+are batch-only on the card; :class:`BatchOfOne` gives the host their
+singular names as batches of one.
 
 Signature strength levels (§4.3):
 
@@ -40,7 +42,8 @@ from repro.hardware.device import OpMeter
 from repro.hardware.tamper import TamperResponder
 from repro.sim.manual_clock import ManualClock
 
-__all__ = ["SecureCoprocessor", "ScpuKeyring", "Strength", "WrappedKey"]
+__all__ = ["CARD_OPS", "BatchOfOne", "SecureCoprocessor", "ScpuKeyring",
+           "Strength", "WrappedKey", "install_card_ops"]
 
 
 @dataclass(frozen=True)
@@ -99,7 +102,62 @@ class ScpuKeyring:
         )
 
 
-class SecureCoprocessor:
+#: The card's whole service surface — every certified call the host can
+#: make across the trust boundary (§2.2) — and which card of an
+#: :class:`~repro.hardware.pool.ScpuPool` serves it.  ``"authority"`` ops
+#: touch single-writer NVRAM state (the SN counter and base, the auth
+#: backends' state correlated with it, each card's own epoch and
+#: key-transport keys) and go to the pool's SN-authority card;
+#: ``"worker"`` ops are the expensive signing / hashing / verification
+#: work round-robined over live cards.  The pool, the fault and retry
+#: wrappers and wormlint W003 all derive their surface from this table.
+CARD_OPS: Dict[str, str] = {
+    **dict.fromkeys((
+        "issue_serial_numbers", "advance_sn_base", "sign_sn_base",
+        "sign_migration_manifest", "public_keys", "certify_with",
+        "rotate_burst_key", "sign_merkle_root", "accumulator_bootstrap",
+        "accumulator_add", "accumulator_remove", "accumulator_witness",
+        "accumulator_sign_value", "wrap_key", "unwrap_key", "rotate_epoch",
+        "key_transport_public", "export_deks", "import_deks", "attest",
+    ), "authority"),
+    **dict.fromkeys((
+        "hash_record_data_batch", "verify_deferred_hash",
+        "witness_write_batch", "strengthen_batch", "verify_own_hmac",
+        "verify_envelope_batch", "resign_metadata", "make_deletion_proof",
+        "compact_deletion_window", "sign_sn_current",
+        "verify_regulator_credential",
+    ), "worker"),
+}
+
+
+class BatchOfOne:
+    """Singular forms of the batch-only card ops, each a batch of one.
+
+    Inherited by the card, the pool and both wrappers, so a singular
+    call is metered, faulted and retried as its batch op: one crossing,
+    the same per-item charges.
+    """
+
+    def issue_serial_number(self) -> int:
+        return self.issue_serial_numbers(1)[0]
+
+    def hash_record_data(self, chunks: Iterable[bytes]) -> bytes:
+        return self.hash_record_data_batch([chunks])[0]
+
+    def witness_write(self, sn: int, attr_bytes: bytes, data_hash: bytes,
+                      strength: str = Strength.STRONG
+                      ) -> Tuple[SignedEnvelope, SignedEnvelope]:
+        return self.witness_write_batch([(sn, attr_bytes, data_hash)],
+                                        strength=strength)[0]
+
+    def strengthen(self, signed: SignedEnvelope) -> SignedEnvelope:
+        return self.strengthen_batch([signed])[0]
+
+    def verify_envelope(self, signed: SignedEnvelope, public_key) -> bool:
+        return self.verify_envelope_batch([(signed, public_key)])[0]
+
+
+class SecureCoprocessor(BatchOfOne):
     """One IBM-4764-class secure coprocessor.
 
     Parameters
@@ -217,16 +275,8 @@ class SecureCoprocessor:
 
     # -- serial numbers -------------------------------------------------------
 
-    def issue_serial_number(self) -> int:
-        """Allocate the next system-wide unique SN (monotonic, in NVRAM)."""
-        self.tamper.check()
-        self.meter.crossing()
-        self.meter.charge("sn_counter", _NVRAM_TOUCH_SECONDS)
-        self._sn_counter += 1
-        return self._sn_counter
-
     def issue_serial_numbers(self, count: int) -> List[int]:
-        """Allocate *count* consecutive SNs in one boundary crossing.
+        """Allocate *count* consecutive system-wide unique SNs (NVRAM).
 
         Each allocation still touches NVRAM (the monotonic counter is
         per-SN), but a burst of writes pays for one host↔card round trip
@@ -251,42 +301,27 @@ class SecureCoprocessor:
 
     # -- data hashing (datasig input) ----------------------------------------
 
-    def hash_record_data(self, chunks: Iterable[bytes]) -> bytes:
-        """DMA record data into the enclosure and hash it (chained hash).
-
-        Charges the DMA transfer (75-90 MB/s end-to-end) plus the SCPU's
-        SHA throughput at the configured block size — the dominant write
-        cost for large records, which is why Figure 1's curves fall as
-        record size grows.
-        """
-        self.tamper.check()
-        digest, total = self._hash_one(chunks)
-        self.meter.crossing(total)
-        return digest
-
-    def _hash_one(self, chunks: Iterable[bytes]) -> Tuple[bytes, int]:
-        hasher = ChainedHasher()
-        total = 0
-        for chunk in chunks:
-            total += len(chunk)
-            hasher.update(chunk)
-        self.meter.charge("dma", self.profile.dma_seconds(total))
-        self.meter.charge("sha", self.profile.sha_seconds(total, self.hash_block_size))
-        return hasher.digest(), total
-
     def hash_record_data_batch(
             self, chunk_lists: Iterable[Iterable[bytes]]) -> List[bytes]:
-        """Hash several records' data in one DMA setup / boundary crossing.
+        """DMA records' data into the enclosure and hash each (chained hash).
 
-        Per-record DMA and SHA costs are charged identically to the
-        singular call; only the round-trip count is amortized.
+        Charges, per record, the DMA transfer (75-90 MB/s end-to-end) plus
+        the SCPU's SHA throughput at the configured block size — the
+        dominant write cost for large records, which is why Figure 1's
+        curves fall as record size grows.  One crossing per batch.
         """
         self.tamper.check()
         digests: List[bytes] = []
         total = 0
         for chunks in chunk_lists:
-            digest, nbytes = self._hash_one(chunks)
-            digests.append(digest)
+            hasher = ChainedHasher()
+            nbytes = 0
+            for chunk in chunks:
+                nbytes += len(chunk)
+                hasher.update(chunk)
+            self.meter.charge("dma", self.profile.dma_seconds(nbytes))
+            self.meter.charge("sha", self.profile.sha_seconds(nbytes, self.hash_block_size))
+            digests.append(hasher.digest())
             total += nbytes
         self.meter.crossing(total)
         return digests
@@ -296,24 +331,11 @@ class SecureCoprocessor:
 
         During bursts the main CPU may be trusted to provide the data
         hash; the SCPU later reads the data itself and verifies.  Charges
-        the same DMA + SHA cost as :meth:`hash_record_data`.
+        the same DMA + SHA cost as :meth:`hash_record_data_batch`.
         """
         return self.hash_record_data(chunks) == claimed
 
     # -- write witnessing -------------------------------------------------------
-
-    def witness_write(self, sn: int, attr_bytes: bytes, data_hash: bytes,
-                      strength: str = Strength.STRONG
-                      ) -> Tuple[SignedEnvelope, SignedEnvelope]:
-        """Produce (metasig, datasig) for a new VRD (§4.2.2 Write).
-
-        ``metasig`` = S(SN, attr); ``datasig`` = S(SN, Hash(data)); both
-        carry the SCPU timestamp.  With ``strength="hmac"`` the envelopes
-        are HMAC-tagged instead (not client-verifiable until upgraded).
-        """
-        self.tamper.check()
-        self.meter.crossing(len(attr_bytes) + len(data_hash))
-        return self._witness_one(sn, attr_bytes, data_hash, strength)
 
     def _witness_one(self, sn: int, attr_bytes: bytes, data_hash: bytes,
                      strength: str) -> Tuple[SignedEnvelope, SignedEnvelope]:
@@ -330,11 +352,14 @@ class SecureCoprocessor:
             self, items: Iterable[Tuple[int, bytes, bytes]],
             strength: str = Strength.STRONG
     ) -> List[Tuple[SignedEnvelope, SignedEnvelope]]:
-        """Witness several writes in one boundary crossing (§4.3 bursts).
+        """Produce (metasig, datasig) per new VRD in one crossing (§4.2.2).
 
-        *items* is an iterable of ``(sn, attr_bytes, data_hash)``.  Every
-        record still pays its full signing cost — batching amortizes the
-        round trip, not the cryptography.
+        *items* is an iterable of ``(sn, attr_bytes, data_hash)``.
+        ``metasig`` = S(SN, attr); ``datasig`` = S(SN, Hash(data)); both
+        carry the SCPU timestamp.  With ``strength="hmac"`` the envelopes
+        are HMAC-tagged instead (not client-verifiable until upgraded).
+        Every record still pays its full signing cost — batching
+        amortizes the round trip, not the cryptography.
         """
         self.tamper.check()
         items = list(items)
@@ -344,25 +369,16 @@ class SecureCoprocessor:
 
     # -- deferred-strength upgrades (§4.3) ---------------------------------------
 
-    def strengthen(self, signed: SignedEnvelope) -> SignedEnvelope:
-        """Re-issue a weak/HMAC construct under the durable ``s`` key.
+    def strengthen_batch(
+            self, signed_seq: Iterable[SignedEnvelope]) -> List[SignedEnvelope]:
+        """Re-issue weak/HMAC constructs under the durable ``s`` key.
 
         The SCPU verifies its *own* prior construct first — a weak
         signature within lifetime, or an HMAC tag — then signs the same
         statement (purpose + fields) afresh with a current timestamp.
-        Raises :class:`ValueError` if the prior construct does not check
+        Raises :class:`ValueError` if a prior construct does not check
         out (a tampered queue entry must never be laundered into a strong
-        signature).
-        """
-        self.meter.crossing(len(signed.signature))
-        return self._strengthen_one(signed)
-
-    def strengthen_batch(
-            self, signed_seq: Iterable[SignedEnvelope]) -> List[SignedEnvelope]:
-        """Strengthen several constructs in one boundary crossing.
-
-        Fail-fast: a construct that does not check out raises exactly as
-        the singular call would, after the preceding items were already
+        signature).  Fail-fast: the preceding items were already
         strengthened — callers that need per-item isolation submit
         per-record batches (e.g. one record's metasig + datasig).
         """
@@ -458,6 +474,10 @@ class SecureCoprocessor:
         replaying an old (lower) base signature to dodge proper expiry.
         """
         self.meter.crossing()
+        return self._sign_sn_base(validity_seconds)
+
+    def _sign_sn_base(self, validity_seconds: float = 24 * 3600.0
+                      ) -> SignedEnvelope:
         keys = self._keys_or_die()
         expires_at = self.now + validity_seconds
         return self._sign(keys.s_key, Purpose.SN_BASE,
@@ -528,7 +548,7 @@ class SecureCoprocessor:
                 raise ValueError(f"no valid expiry evidence for SN {sn}")
         self._sn_base = new_base
         self.meter.charge("sn_base_nvram", _NVRAM_TOUCH_SECONDS)
-        return self.sign_sn_base()
+        return self._sign_sn_base()
 
     def compact_deletion_window(self, low_sn: int, high_sn: int,
                                 proofs: Dict[int, SignedEnvelope]
@@ -923,28 +943,43 @@ class SecureCoprocessor:
             "sn_current": sn_current,
         })
 
-    def verify_envelope(self, signed: SignedEnvelope, public_key) -> bool:
-        """Verify a foreign SCPU's envelope (migration), charging verify cost."""
-        self.tamper.check()
-        self.meter.crossing(len(signed.signature))
-        return self._verify_envelope_one(signed, public_key)
-
-    def _verify_envelope_one(self, signed: SignedEnvelope, public_key) -> bool:
-        self.meter.charge(
-            f"rsa_verify_{public_key.bits}",
-            self.profile.rsa_verify_seconds(public_key.bits),
-        )
-        return public_key.verify(signed.envelope.canonical_bytes(), signed.signature,
-                                 hash_name=signed.hash_name)
-
     def verify_envelope_batch(
             self, pairs: Iterable[Tuple[SignedEnvelope, object]]) -> List[bool]:
-        """Verify many (envelope, public_key) pairs in one crossing.
+        """Verify foreign SCPUs' envelopes (migration, recovery VERIFY).
 
-        The bulk shape of :meth:`verify_envelope` for recovery VERIFY and
-        catalog rebuilds: per-item verify costs are charged unchanged.
+        One crossing for many (envelope, public_key) pairs; each pair is
+        charged its own verify cost.
         """
         self.tamper.check()
         pairs = list(pairs)
         self.meter.crossing(sum(len(s.signature) for s, _ in pairs))
-        return [self._verify_envelope_one(signed, key) for signed, key in pairs]
+        results: List[bool] = []
+        for signed, key in pairs:
+            self.meter.charge(f"rsa_verify_{key.bits}",
+                              self.profile.rsa_verify_seconds(key.bits))
+            results.append(key.verify(signed.envelope.canonical_bytes(),
+                                      signed.signature,
+                                      hash_name=signed.hash_name))
+        return results
+
+
+def install_card_ops(cls: type) -> type:
+    """Class decorator: one real method per :data:`CARD_OPS` entry.
+
+    Each forwards to ``self._card_call(op, *args, **kwargs)``, the one
+    place a pool picks its card, a fault wrapper consults its plan and a
+    retry view runs its executor.  Real attributes, not ``__getattr__``,
+    keep the surface introspectable; names the class defines itself (the
+    pool's lock-step ``rotate_burst_key``) are left alone.
+    """
+    for name in CARD_OPS:
+        if name in vars(cls):
+            continue
+
+        def forwarder(self, *args, _op=name, **kwargs):
+            return self._card_call(_op, *args, **kwargs)
+        forwarder.__name__ = name
+        forwarder.__qualname__ = f"{cls.__qualname__}.{name}"
+        forwarder.__doc__ = getattr(SecureCoprocessor, name).__doc__
+        setattr(cls, name, forwarder)
+    return cls

@@ -344,12 +344,15 @@ class VirtualTimeChecker(Checker):
 def _faultable_ops() -> Tuple[frozenset, frozenset]:
     """The SCPU / block-store service surfaces worth retrying.
 
-    Imported from :mod:`repro.faults.wrappers` so the lint rule and the
-    fault-injection harness can never disagree about what the
-    trust-boundary surface *is*.
+    The SCPU side is the card's own op table plus the singular
+    batch-of-one helpers, so the lint rule, the pool and the fault and
+    retry wrappers can never disagree about what the trust-boundary
+    surface *is*.
     """
-    from repro.faults.wrappers import BLOCK_FAULTABLE_OPS, SCPU_FAULTABLE_OPS
-    return frozenset(SCPU_FAULTABLE_OPS), frozenset(BLOCK_FAULTABLE_OPS)
+    from repro.faults.wrappers import BLOCK_FAULTABLE_OPS
+    from repro.hardware.scpu import CARD_OPS, BatchOfOne
+    singular = (name for name in vars(BatchOfOne) if not name.startswith("_"))
+    return frozenset(CARD_OPS).union(singular), frozenset(BLOCK_FAULTABLE_OPS)
 
 
 _BLOCK_RECEIVERS = frozenset({"blocks", "block_store"})

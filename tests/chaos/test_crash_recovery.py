@@ -98,7 +98,7 @@ class TestInjectedMidCommitCrash:
         keyring = demo_keyring()
         journal = FileIntentJournal(tmp_path / "intent.jsonl")
         clock = ManualClock()
-        plan = FaultPlan().crash_before("witness_write", after_ops=3)
+        plan = FaultPlan().crash_before("witness_write_batch", after_ops=3)
         scpu = FaultyScpu(SecureCoprocessor(keyring=keyring, clock=clock),
                           plan)
         from repro.core.worm import StrongWormStore
@@ -128,7 +128,7 @@ class TestInjectedMidCommitCrash:
         keyring = demo_keyring()
         journal = FileIntentJournal(tmp_path / "intent.jsonl")
         clock = ManualClock()
-        plan = FaultPlan().crash_after("witness_write", after_ops=3)
+        plan = FaultPlan().crash_after("witness_write_batch", after_ops=3)
         scpu = FaultyScpu(SecureCoprocessor(keyring=keyring, clock=clock),
                           plan)
         from repro.core.worm import StrongWormStore

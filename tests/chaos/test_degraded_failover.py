@@ -136,7 +136,7 @@ class TestBreakerRouting:
         # Shard 0 drops every witness_write for a while: its breaker
         # opens and round-robin skips it without any record loss.
         plans = [FaultPlan() for _ in range(3)]
-        plans[0].transient(op="witness_write", after_ops=1, count=50)
+        plans[0].transient(op="witness_write_batch", after_ops=1, count=50)
         store = build_faulty_sharded(plans, group_commit_size=1)
         receipts = []
         for i in range(12):

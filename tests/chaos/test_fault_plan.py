@@ -23,10 +23,11 @@ from repro.faults import (
     FaultPlan,
     FaultyBlockStore,
     FaultyScpu,
-    SCPU_FAULTABLE_OPS,
 )
+from repro.core.retry import RetryingScpu
 from repro.hardware.device import ScpuLike
-from repro.hardware.scpu import SecureCoprocessor
+from repro.hardware.pool import ScpuPool
+from repro.hardware.scpu import CARD_OPS, BatchOfOne, SecureCoprocessor
 from repro.sim.manual_clock import ManualClock
 from repro.storage.block_store import MemoryBlockStore
 
@@ -89,10 +90,29 @@ class TestFaultyScpu:
     def test_is_scpulike_and_preserves_surface(self, scpu):
         faulty = FaultyScpu(scpu, FaultPlan())
         assert isinstance(faulty, ScpuLike)
-        for name in SCPU_FAULTABLE_OPS:
+        for name in CARD_OPS:
             assert callable(getattr(faulty, name))
         assert faulty.clock is scpu.clock
         assert faulty.inner is scpu
+        # One table, four surfaces: every card op is a real class
+        # attribute (not __getattr__) of the card, the pool and both
+        # wrappers, and the protocol declares it with the singular helpers.
+        for cls in (SecureCoprocessor, ScpuPool, FaultyScpu, RetryingScpu):
+            for name in CARD_OPS:
+                assert name in vars(cls), (cls, name)
+        singular = [n for n in vars(BatchOfOne) if not n.startswith("_")]
+        assert len(singular) == 5
+        for name in [*CARD_OPS, *singular]:
+            assert hasattr(ScpuLike, name), name
+
+    def test_plan_naming_an_op_the_card_lacks_is_refused(self, scpu):
+        # Singular calls are batches of one: a plan on "strengthen" could
+        # never fire, so the wrapper refuses it instead of ignoring it.
+        faulty = FaultyScpu(scpu, FaultPlan().transient(op="strengthen",
+                                                        after_ops=1))
+        with pytest.raises(ValueError, match="'strengthen'"):
+            faulty.issue_serial_number()
+        assert scpu.current_serial_number == 0
 
     def test_clean_plan_is_transparent(self, scpu):
         faulty = FaultyScpu(scpu, FaultPlan())
@@ -126,7 +146,7 @@ class TestFaultyScpu:
 
     def test_crash_before_leaves_state_untouched(self, scpu):
         faulty = FaultyScpu(
-            scpu, FaultPlan().crash_before("issue_serial_number",
+            scpu, FaultPlan().crash_before("issue_serial_numbers",
                                            after_ops=1))
         with pytest.raises(CrashError):
             faulty.issue_serial_number()
@@ -134,7 +154,7 @@ class TestFaultyScpu:
 
     def test_crash_after_commits_then_dies(self, scpu):
         faulty = FaultyScpu(
-            scpu, FaultPlan().crash_after("issue_serial_number",
+            scpu, FaultPlan().crash_after("issue_serial_numbers",
                                           after_ops=1))
         with pytest.raises(CrashError):
             faulty.issue_serial_number()
@@ -149,6 +169,15 @@ class TestFaultyBlockStore:
         assert faulty.get(key) == b"payload"
         assert key in faulty
         assert faulty.size_of(key) == 7
+
+    def test_plan_naming_a_card_op_is_refused(self):
+        plan = FaultPlan()
+        faulty = FaultyBlockStore(MemoryBlockStore(), plan)
+        key = faulty.put(b"x")
+        # Events added after wrapping are checked too.
+        plan.transient(op="witness_write_batch", after_ops=1)
+        with pytest.raises(ValueError, match="witness_write_batch"):
+            faulty.get(key)
 
     def test_transient_fault_raises_storage_error(self):
         faulty = FaultyBlockStore(MemoryBlockStore(),

@@ -122,7 +122,7 @@ class TestViolationAccountingUnderFaults:
         keeps failing is one violation, however many retries it takes."""
         bus = TelemetryBus()
         plans = [FaultPlan(), FaultPlan()]
-        plans[0].transient(op="strengthen", after_ops=1, count=99)
+        plans[0].transient(op="strengthen_batch", after_ops=1, count=99)
         store = build_observed_sharded(plans, bus, group_commit_size=1)
         receipt = store.write([b"burst"], strength=Strength.WEAK)
         shard = store.shard(receipt.shard_id)

@@ -34,7 +34,7 @@ def make_faulty_store(plan):
 
 class TestTamperDuringStrengthening:
     def test_backlog_reported_not_lost(self, ca):
-        plan = FaultPlan().tamper(op="strengthen", after_ops=1)
+        plan = FaultPlan().tamper(op="strengthen_batch", after_ops=1)
         store = make_faulty_store(plan)
         receipts = [store.write([b"burst-%d" % i], strength=Strength.WEAK)
                     for i in range(5)]
@@ -51,7 +51,7 @@ class TestTamperDuringStrengthening:
         assert report["strengthened"] == 0
 
     def test_weak_signatures_never_laundered(self, ca):
-        plan = FaultPlan().tamper(op="strengthen", after_ops=1)
+        plan = FaultPlan().tamper(op="strengthen_batch", after_ops=1)
         store = make_faulty_store(plan)
         client = store.make_client(ca)  # certified while the card lived
         receipts = [store.write([b"burst-%d" % i], strength=Strength.WEAK)
@@ -70,7 +70,7 @@ class TestTamperDuringStrengthening:
     def test_transient_fault_keeps_entry_for_retry(self):
         # One dropped strengthen request: the entry survives and the
         # next idle slice completes it.
-        plan = FaultPlan().transient(op="strengthen", after_ops=1)
+        plan = FaultPlan().transient(op="strengthen_batch", after_ops=1)
         store = make_faulty_store(plan)
         store.write([b"burst"], strength=Strength.WEAK)
         assert len(store.strengthening) == 1
@@ -80,7 +80,7 @@ class TestTamperDuringStrengthening:
         assert store.retry.stats.retries >= 1
 
     def test_exhausted_retries_restore_entry(self):
-        plan = FaultPlan().transient(op="strengthen", after_ops=1, count=99)
+        plan = FaultPlan().transient(op="strengthen_batch", after_ops=1, count=99)
         store = make_faulty_store(plan)
         receipt = store.write([b"burst"], strength=Strength.WEAK)
         with pytest.raises(ScpuUnavailableError):

@@ -141,7 +141,7 @@ class TestStoreRetryIntegration:
 
     def test_no_retry_policy_disables_retrying(self):
         scpu = SecureCoprocessor(keyring=demo_keyring(), clock=ManualClock())
-        faulty = FaultyScpu(scpu, FaultPlan().transient(op="witness_write",
+        faulty = FaultyScpu(scpu, FaultPlan().transient(op="witness_write_batch",
                                                         after_ops=1,
                                                         count=99))
         store = StrongWormStore(config=StoreConfig(

@@ -131,6 +131,14 @@ class TestWindowEvidence:
         assert scpu.sn_base == 4
         assert envelope.field("sn_base") == 4
 
+    def test_advance_base_is_one_crossing(self, scpu):
+        for _ in range(4):
+            scpu.issue_serial_number()
+        proofs = self._expire(scpu, [1, 2, 3])
+        before = scpu.meter.crossings
+        scpu.advance_sn_base(4, proofs)
+        assert scpu.meter.crossings == before + 1
+
     def test_advance_base_missing_proof_rejected(self, scpu):
         for _ in range(4):
             scpu.issue_serial_number()

@@ -127,19 +127,21 @@ class TestBatchSurfacePropagation:
         # A real attribute (not __getattr__): the op is fault-gateable.
         assert "hash_record_data_batch" in type(wrapped).__dict__
 
-    def test_fault_plans_on_singular_ops_gate_batches(self):
-        """A plan written against ``strengthen`` must survive the call
-        site converting to ``strengthen_batch`` — same card op."""
+    def test_singular_call_gated_as_batch_op(self):
+        """``strengthen(x)`` is a batch of one: a plan on
+        ``strengthen_batch`` drops it before it reaches the card."""
         from repro.core.errors import ScpuUnavailableError
         from repro.faults.plan import FaultPlan
 
         scpu = SecureCoprocessor(keyring=demo_keyring())
         weak = scpu.witness_write(1, b"a", b"h" * 20,
                                   strength=Strength.WEAK)[0]
-        plan = FaultPlan().transient(op="strengthen", after_ops=1, count=9)
-        wrapped = FaultyScpu(scpu, plan)
+        crossings = scpu.meter.crossings
+        plan = FaultPlan().transient(op="strengthen_batch", after_ops=1,
+                                     count=9)
         with pytest.raises(ScpuUnavailableError):
-            wrapped.strengthen_batch([weak])
+            FaultyScpu(scpu, plan).strengthen(weak)
+        assert scpu.meter.crossings == crossings
         assert plan.injected["transient"] == 1
 
     def test_retrying_wrapper_forwards_batches(self, store):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from textwrap import dedent
 
+import pytest
+
 from repro.lint import lint_source
 
 
@@ -12,10 +14,13 @@ def rules(source: str, path: str = "src/repro/core/fixture.py",
     return [f.rule for f in lint_source(dedent(source), path, select=select)]
 
 
-def test_raw_scpu_service_call_fires():
-    assert rules("""
+@pytest.mark.parametrize("op", ["witness_write_batch", "witness_write",
+                                "wrap_key"])
+def test_raw_scpu_service_call_fires(op):
+    # A batch op, a singular batch-of-one helper, and an epoch op.
+    assert rules(f"""
         def commit(self, data, sn, now):
-            return self.scpu.witness_write(data, sn, now)
+            return self.scpu.{op}(data, sn, now)
     """) == ["W003"]
 
 
@@ -67,9 +72,14 @@ def test_only_core_is_in_scope():
 
 
 def test_rule_tracks_the_fault_harness_surface():
-    # W003's op tables are imported from repro.faults.wrappers, so the
-    # lint can never disagree with the fault-injection harness about
-    # where the trust boundary is.
-    from repro.faults.wrappers import BLOCK_FAULTABLE_OPS, SCPU_FAULTABLE_OPS
-    assert "witness_write" in SCPU_FAULTABLE_OPS
-    assert "get" in BLOCK_FAULTABLE_OPS
+    # W003's SCPU ops are the card's op table plus the singular helpers,
+    # so the lint can never disagree with the pool or the fault and
+    # retry wrappers about where the trust boundary is.
+    from repro.faults.wrappers import BLOCK_FAULTABLE_OPS
+    from repro.hardware.scpu import CARD_OPS
+    from repro.lint.rules import _faultable_ops
+    scpu_ops, block_ops = _faultable_ops()
+    assert scpu_ops == set(CARD_OPS) | {
+        "issue_serial_number", "hash_record_data", "witness_write",
+        "strengthen", "verify_envelope"}
+    assert block_ops == set(BLOCK_FAULTABLE_OPS)

@@ -33,6 +33,24 @@ class TestPoolBackedFileSystem:
         assert all(cost > 0 for cost in pool.per_card_cost_seconds())
 
 
+class TestPoolBackedEncryption:
+    def test_crypto_shredding_over_scpu_pool(self, ca):
+        # The epoch and key-transport ops are card ops too: the pool
+        # serves them from its authority card.
+        from repro.core.encryption import EncryptedWormStore
+        pool = ScpuPool.build(2, keyring=demo_keyring(), clock=ManualClock())
+        store = StrongWormStore(scpu=pool)
+        client = store.make_client(ca)
+        encrypted = EncryptedWormStore(store)
+        receipt = encrypted.write(b"pooled secret")
+        read = encrypted.read_verified(client, receipt.sn)
+        assert read.plaintext == b"pooled secret"
+        assert encrypted.shred_epoch() == 0
+        assert encrypted.current_epoch == 2
+        read = encrypted.read_verified(client, receipt.sn)
+        assert read.plaintext == b"pooled secret"
+
+
 class TestEncryptedReplication:
     def test_mirrored_encrypted_stores(self, ca):
         from repro.core.encryption import EncryptedWormStore
