@@ -26,9 +26,9 @@ chaos:
 lint:
 	python -m ruff check src tests benchmarks examples
 
-# Short sharded workload -> telemetry snapshot, reconciled against the
-# legacy health/cost reports and validated against the committed schema
-# (counter names are an API: renames must fail here, not drift silently).
+# Short sharded workload -> telemetry snapshot, validated against the
+# committed schema (counter names are an API: renames must fail here, not
+# drift silently), plus the service's tenant accounting vs its receipts.
 obs:
 	PYTHONPATH=src python -m repro.cli obs --shards 2 --records 48 \
 	    --check scripts/obs_schema.json

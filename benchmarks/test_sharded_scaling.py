@@ -104,15 +104,14 @@ def test_telemetry_attribution_reconciles(paper_keyring, telemetry_bus,
 
     The same closed-loop group-commit workload, run with a
     :class:`~repro.obs.TelemetryBus` attached: the exported device
-    attribution must reconcile exactly with ``cost_summary`` /
-    ``health_report``, every write must appear in the latency histogram,
+    attribution is read from the meters ``cost_summary`` sums, every
+    write must appear in the latency histogram,
     and SCPU virtual seconds must dominate the host's — the §4.3 claim
     (SCPU witnessing, not main-CPU work, bounds throughput) read
     straight off the telemetry.  With ``--telemetry`` the snapshot
     lands in ``BENCH_*_telemetry.json`` beside the perf numbers.
     """
     from repro.core.config import StoreConfig
-    from repro.obs import reconcile_sharded
 
     config = SimulationConfig(workers=64, host_count=8, disk_count=16)
     simstore = make_sharded_sim_store(
@@ -123,7 +122,6 @@ def test_telemetry_attribution_reconciles(paper_keyring, telemetry_bus,
         config=config, batch_size=_BATCH)
 
     snapshot = simstore.store.telemetry_snapshot()
-    assert reconcile_sharded(simstore.store, snapshot) == []
     counters = snapshot["counters"]
     writes = snapshot["histograms"]["op.write.seconds"]
     assert writes["count"] == counters["store.writes"] > 0

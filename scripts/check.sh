@@ -63,7 +63,7 @@ then
     exit 1
 fi
 
-echo "==> obs (telemetry reconciliation + snapshot schema)"
+echo "==> obs (snapshot schema + tenant accounting)"
 PYTHONPATH=src python -m repro.cli obs --shards 2 --records 48 \
     --check scripts/obs_schema.json >/dev/null
 

@@ -438,16 +438,17 @@ def cmd_faults_demo(args) -> int:
         title=f"Fault replay — {shards} shards, {args.records} records, "
               f"{args.fault_rate:.0%} transient faults, "
               f"shard 1 zeroized after {args.tamper_after} ops"))
-    counters = result.metrics.counters
+    injected = {kind: sum(plan.injected[kind] for plan in plans)
+                for kind in ("transient", "tamper")}
     print(f"\naccepted:   {result.accepted} records "
-          f"({counters.get('records.unflushed', 0)} still pending)")
+          f"({health['pending_records']} still pending)")
     print(f"verified:   {result.accepted - lost} readable+verifiable, "
           f"{lost} lost")
-    print(f"faults:     {counters.get('faults.transient', 0)} transient, "
-          f"{counters.get('faults.tamper', 0)} tamper")
-    print(f"retries:    {counters.get('retry.retries', 0)} "
-          f"({counters.get('retry.exhausted', 0)} exhausted)")
-    print(f"failovers:  {counters.get('failovers', 0)}")
+    print(f"faults:     {injected['transient']} transient, "
+          f"{injected['tamper']} tamper")
+    print(f"retries:    {health['retry_total']['retries']} "
+          f"({health['retry_total']['exhausted']} exhausted)")
+    print(f"failovers:  {health['failovers']}")
     print(f"degraded:   shards {health['degraded_shards']}")
     if lost:
         print("RECORD LOSS DETECTED", file=sys.stderr)
@@ -461,21 +462,21 @@ def cmd_obs(args) -> int:
 
     Drives a fault-injected group-commit ingest through the chaos loop
     with a :class:`~repro.obs.TelemetryBus` attached, reads a few
-    records back, runs one maintenance slice, then **reconciles** the
-    snapshot against the legacy ``health_report``/``cost_summary``
-    numbers — exit 2 with ``TELEMETRY MISMATCH`` if the two accountings
-    disagree.  ``--check SCHEMA`` additionally validates the snapshot
-    against a committed JSON schema (counter names are an API; CI runs
-    this so renames fail loudly).  ``--format`` selects the export:
+    records back, runs one maintenance slice and a few service writes,
+    then checks the service's tenant accounting against its receipts —
+    exit 2 with ``TENANT ACCOUNTING MISMATCH`` when they disagree.
+    ``--check SCHEMA`` additionally validates the snapshot against a
+    committed JSON schema (counter names are an API; CI runs this so
+    renames fail loudly).  ``--format`` selects the export:
     ``summary`` (human table), ``snapshot`` (canonical JSON), ``jsonl``
     (event log), ``prom`` (Prometheus text), ``chrome`` (trace spans).
     """
     from repro import demo_keyring
     from repro.core.config import StoreConfig
     from repro.faults import FaultPlan
-    from repro.obs import (TelemetryBus, load_schema, reconcile_sharded,
-                           snapshot_json, to_chrome_trace, to_jsonl,
-                           to_prometheus, validate)
+    from repro.obs import (TelemetryBus, load_schema, snapshot_json,
+                           to_chrome_trace, to_jsonl, to_prometheus,
+                           validate)
     from repro.sim.driver import (SimulationConfig, make_sharded_sim_store,
                                   run_sharded_chaos_loop)
     from repro.sim.tracing import TraceRecorder
@@ -535,8 +536,8 @@ def cmd_obs(args) -> int:
     # bus so the replication.*/recovery.* names (and the lag histogram)
     # are part of the committed snapshot schema.  The mini-site's own
     # store metrics deliberately stay OFF the bus — only the
-    # replication/recovery layers observe here — so the reconciliation
-    # below keeps squaring the bus against the main store alone.
+    # replication/recovery layers observe here — so the store counters
+    # keep describing the main store alone.
     from repro.core.sharded import ShardedWormStore
     from repro.recovery import (ReplicaSite, ReplicatedIntentJournal,
                                 ReplicationPump, ReplicationTransport,
@@ -577,9 +578,9 @@ def cmd_obs(args) -> int:
     snapshot = store.telemetry_snapshot()
 
     status = 0
-    problems = reconcile_sharded(store, snapshot) + service.reconcile()
+    problems = service.reconcile()
     if problems:
-        print("TELEMETRY MISMATCH", file=sys.stderr)
+        print("TENANT ACCOUNTING MISMATCH", file=sys.stderr)
         for problem in problems:
             print(f"  {problem}", file=sys.stderr)
         status = 2
@@ -613,8 +614,6 @@ def cmd_obs(args) -> int:
         output += (f"\n\nevents: {events['count']} "
                    f"({events['dropped']} dropped)  "
                    f"spans: {snapshot['spans']}")
-        output += ("\nreconciliation vs health_report/cost_summary: "
-                   + ("OK" if not problems else "MISMATCH"))
     if args.out:
         Path(args.out).write_text(output + "\n")
         print(f"telemetry written to {args.out}", file=sys.stderr)
@@ -800,8 +799,8 @@ def cmd_tenant_bench(args) -> int:
     machinery.  Afterwards every admitted-or-deferred write is redeemed
     and read back **through the service**, rejections are checked for
     well-formed problem payloads and ``RateLimit-*`` headers, and the
-    per-tenant telemetry counters are reconciled against the service's
-    receipt ledger.  Exit 0 only when not a single admitted write was
+    per-tenant counters are reconciled against the service's receipt
+    ledger.  Exit 0 only when not a single admitted write was
     lost and every accounting agrees; 2 otherwise.
     """
     from repro import demo_keyring
@@ -974,7 +973,7 @@ def cmd_tenant_bench(args) -> int:
         print(f"RECONCILE: {problem}", file=sys.stderr)
     if unreadable or problems or not isolation_ok:
         return 2
-    print("zero dropped writes; telemetry reconciles")
+    print("zero dropped writes; tenant accounting reconciles")
     return 0
 
 
@@ -1243,9 +1242,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_faults_demo)
 
     p = sub.add_parser("obs",
-                       help="run a short sharded workload, export + "
-                            "reconcile its telemetry (in-memory; exit 2 "
-                            "on mismatch or schema violation)")
+                       help="run a short sharded workload and export its "
+                            "telemetry (in-memory; exit 2 on a tenant "
+                            "accounting mismatch or schema violation)")
     p.add_argument("--shards", type=int, default=2)
     p.add_argument("--records", type=int, default=48)
     p.add_argument("--record-size", type=int, default=512)

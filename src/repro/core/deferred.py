@@ -68,7 +68,6 @@ class StrengtheningQueue:
             raise ValueError("safety factor must be in (0, 1]")
         self._store = store
         self.safety_factor = safety_factor
-        self.obs = obs if obs is not None else NULL_BUS
         self._heap: List[Tuple[float, int, PendingStrengthening]] = []
         # Gauge-side view of the backlog, maintained incrementally so the
         # telemetry pulls (active_backlog / next_deadline / overdue_count)
@@ -89,10 +88,13 @@ class StrengtheningQueue:
         # strengthen and is restored to the heap must not be counted
         # again on retry.
         self._violated: Set[int] = set()
-        if self.obs.enabled:
-            self.obs.declare_counter("strengthen.completed")
-            self.obs.declare_counter("strengthen.lifetime_violations")
-            self.obs.declare_counter("strengthen.skipped_deleted")
+        obs = obs if obs is not None else NULL_BUS
+        obs.register_counter("strengthen.completed",
+                             lambda: self.strengthened_count)
+        obs.register_counter("strengthen.lifetime_violations",
+                             lambda: self.lifetime_violations)
+        obs.register_counter("strengthen.skipped_deleted",
+                             lambda: self.skipped_deleted)
 
     def __len__(self) -> int:
         """Raw heap size, *including* entries whose record has since been
@@ -194,7 +196,7 @@ class StrengtheningQueue:
                 # Reconcile the gauge view in case the deletion was never
                 # pushed via note_deleted (no-op when it was).
                 self._discard_gauge_entry(pending.sn, item[0])
-                self._drop_deleted()
+                self.skipped_deleted += 1
                 continue
             if now > pending.hard_expiry and pending.sn not in self._violated:
                 # One violation per record, ever: a retry of the same
@@ -202,7 +204,6 @@ class StrengtheningQueue:
                 # lapsed construct, not a new lapse.
                 self._violated.add(pending.sn)
                 self.lifetime_violations += 1
-                self.obs.inc("strengthen.lifetime_violations")
             try:
                 self._store.strengthen_vrd(pending.sn)
             except BaseException:
@@ -210,14 +211,8 @@ class StrengtheningQueue:
                 raise
             self._discard_gauge_entry(pending.sn, item[0])
             self.strengthened_count += 1
-            self.obs.inc("strengthen.completed")
             return pending.sn
         return None
-
-    def _drop_deleted(self) -> None:
-        """Account for one popped entry whose record was deleted."""
-        self.skipped_deleted += 1
-        self.obs.inc("strengthen.skipped_deleted")
 
     def _prune_deleted(self) -> None:
         """Evict (and count) every entry whose record is gone."""
@@ -226,8 +221,7 @@ class StrengtheningQueue:
         if dropped:
             self._heap = live
             heapq.heapify(self._heap)
-            for _ in range(dropped):
-                self._drop_deleted()
+            self.skipped_deleted += dropped
             self._rebuild_gauges()
 
     def report(self, now: float) -> dict:
@@ -273,15 +267,17 @@ class HashVerificationQueue:
 
     def __init__(self, store, obs: Optional[TelemetryBus] = None) -> None:
         self._store = store
-        self.obs = obs if obs is not None else NULL_BUS
         self._pending: Deque[Tuple[float, int]] = deque()  # (written_at, sn)
         self.verified_count = 0
         self.skipped_deleted = 0
         self.mismatches: List[int] = []
-        if self.obs.enabled:
-            self.obs.declare_counter("hashverify.verified")
-            self.obs.declare_counter("hashverify.mismatches")
-            self.obs.declare_counter("hashverify.skipped_deleted")
+        obs = obs if obs is not None else NULL_BUS
+        obs.register_counter("hashverify.verified",
+                             lambda: self.verified_count)
+        obs.register_counter("hashverify.mismatches",
+                             lambda: len(self.mismatches))
+        obs.register_counter("hashverify.skipped_deleted",
+                             lambda: self.skipped_deleted)
 
     def __len__(self) -> int:
         return len(self._pending)
@@ -304,7 +300,6 @@ class HashVerificationQueue:
                 # Deleted meanwhile; nothing left to protect — but the
                 # drop is counted, not silent.
                 self.skipped_deleted += 1
-                self.obs.inc("hashverify.skipped_deleted")
                 continue
             try:
                 ok = self._store.scpu_verify_data_hash(vrd)
@@ -314,10 +309,8 @@ class HashVerificationQueue:
                 self._pending.appendleft(entry)
                 raise
             self.verified_count += 1
-            self.obs.inc("hashverify.verified")
             if not ok:
                 self.mismatches.append(entry[1])
-                self.obs.inc("hashverify.mismatches")
             return ok
         return None
 

@@ -100,7 +100,8 @@ class CircuitBreaker:
         if self.obs.enabled:
             self.obs.declare_counter("breaker.opened")
             self.obs.declare_counter("breaker.closed")
-            self.obs.declare_counter("breaker.degraded")
+            self.obs.register_counter("breaker.degraded",
+                                      lambda: self._degraded)
 
     # -- state ---------------------------------------------------------------
 
@@ -173,7 +174,6 @@ class CircuitBreaker:
                     if self._consecutive >= self.failure_threshold
                     else BreakerState.CLOSED)
         self._degraded = True
-        self.obs.inc("breaker.degraded")
         self._transition_event(now, previous, BreakerState.DEGRADED)
 
     def _transition_event(self, now: Optional[float], from_state: str,

@@ -23,6 +23,7 @@ in :attr:`RetryStats.backoff_seconds` for the driver to replay.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, Optional
 
 from repro.core.errors import ScpuUnavailableError, TransientFaultError
@@ -92,18 +93,14 @@ class RetryExecutor:
         self.policy = policy if policy is not None else RetryPolicy()
         self.clock = clock
         self.stats = RetryStats()
-        # Telemetry mirror of ``stats``: same increments, same moments,
-        # so the bus totals reconcile with the merged RetryStats ledger.
-        self.obs = obs if obs is not None else NULL_BUS
-        if self.obs.enabled:
-            self.obs.declare_counter("retry.calls")
-            self.obs.declare_counter("retry.retries")
-            self.obs.declare_counter("retry.exhausted")
-            self.obs.declare_counter("retry.backoff_seconds")
+        # The bus reads ``retry.*`` straight from ``stats``.
+        obs = obs if obs is not None else NULL_BUS
+        for name in ("calls", "retries", "exhausted", "backoff_seconds"):
+            obs.register_counter(f"retry.{name}",
+                                 partial(getattr, self.stats, name))
 
     def _sleep(self, seconds: float) -> None:
         self.stats.backoff_seconds += seconds
-        self.obs.inc("retry.backoff_seconds", seconds)
         advance = getattr(self.clock, "advance", None)
         if advance is not None:
             advance(seconds)
@@ -117,7 +114,6 @@ class RetryExecutor:
         occurrence untouched.
         """
         self.stats.calls += 1
-        self.obs.inc("retry.calls")
         policy = self.policy
         spent = 0.0
         retry_index = 0
@@ -130,13 +126,11 @@ class RetryExecutor:
                 if (attempt >= policy.max_attempts
                         or spent + delay > policy.op_timeout):
                     self.stats.exhausted += 1
-                    self.obs.inc("retry.exhausted")
                     raise ScpuUnavailableError(
                         f"{op} still failing after {attempt} attempt(s) "
                         f"({spent:.3f}s backoff spent)") from exc
                 self.stats.retries += 1
                 self.stats.by_op[op] = self.stats.by_op.get(op, 0) + 1
-                self.obs.inc("retry.retries")
                 self._sleep(delay)
                 spent += delay
                 retry_index += 1

@@ -202,9 +202,11 @@ class ShardedWormStore:
             for shard_id in range(len(self._stores))]
         self._failover_count = 0
         if self.obs.enabled:
-            for name in ("sharded.group_commits", "sharded.failovers",
-                         "sharded.flushes", "sharded.groups_restored"):
+            for name in ("sharded.group_commits", "sharded.flushes",
+                         "sharded.groups_restored"):
                 self.obs.declare_counter(name)
+            self.obs.register_counter("sharded.failovers",
+                                      lambda: self._failover_count)
             self.obs.declare_histogram("sharded.batch_size",
                                        buckets=(1, 2, 4, 8, 16, 32, 64))
             self.obs.register_gauge("sharded.pending_records",
@@ -369,7 +371,6 @@ class ShardedWormStore:
                     breaker.record_success(self.now)
                     if current != shard_id:
                         self._failover_count += 1
-                        self.obs.inc("sharded.failovers")
                         self.obs.event("failover", self.now,
                                        from_shard=shard_id, to_shard=current)
                     return result

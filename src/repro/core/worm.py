@@ -26,6 +26,7 @@ the simulation benchmarks can replay contention in virtual time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.auth import AuthenticationScheme, create_scheme
@@ -158,15 +159,20 @@ class StrongWormStore:
     def _wire_telemetry(self) -> None:
         """Connect this store's components to the shared telemetry bus.
 
-        Device meters mirror every charge (seeded with anything charged
-        before attachment, so bus seconds always equal meter totals);
-        backlog depths are pull-gauges read at snapshot time; the store's
-        own counters and latency histograms are declared up front because
-        their names are part of the exported-snapshot API.
+        The ``device.*`` counters are read from the three meters and
+        backlog depths are pull-gauges, both at snapshot time; the
+        store's own counters and latency histograms are declared up front
+        because their names are part of the exported-snapshot API.
         """
-        self.scpu.meter.attach_telemetry(self.obs, "scpu")
-        self.host.meter.attach_telemetry(self.obs, "host")
-        self.disk.meter.attach_telemetry(self.obs, "disk")
+        for device, meter in (("scpu", self.scpu.meter),
+                              ("host", self.host.meter),
+                              ("disk", self.disk.meter)):
+            self.obs.register_counter(
+                f"device.{device}.ops",
+                partial(getattr, meter, "operation_count"))
+            self.obs.register_counter(
+                f"device.{device}.seconds",
+                partial(getattr, meter, "total_seconds"))
         self.obs.register_gauge("strengthen.backlog",
                                 self.strengthening.active_backlog)
         self.obs.register_gauge(

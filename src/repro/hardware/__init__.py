@@ -8,7 +8,7 @@ from repro.hardware.calibration import (
     DiskProfile,
 )
 from repro.hardware.cca import CcaFacade
-from repro.hardware.device import OpMeter, OpRecord, TimedDevice
+from repro.hardware.device import OpMeter, TimedDevice
 from repro.hardware.disk import DiskDevice
 from repro.hardware.host import HostCPU
 from repro.hardware.pool import ScpuPool
@@ -23,7 +23,6 @@ __all__ = [
     "DiskProfile",
     "CcaFacade",
     "OpMeter",
-    "OpRecord",
     "TimedDevice",
     "DiskDevice",
     "HostCPU",

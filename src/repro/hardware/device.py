@@ -16,7 +16,6 @@ noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -36,15 +35,7 @@ if TYPE_CHECKING:  # annotation-only: keeps this module dependency-light
     from repro.crypto.keys import Certificate, CertificateAuthority
     from repro.hardware.scpu import WrappedKey
 
-__all__ = ["OpMeter", "OpRecord", "ScpuLike", "TimedDevice"]
-
-
-@dataclass(frozen=True)
-class OpRecord:
-    """One metered operation: its name and virtual-time cost in seconds."""
-
-    name: str
-    seconds: float
+__all__ = ["OpMeter", "ScpuLike", "TimedDevice"]
 
 
 class OpMeter:
@@ -52,44 +43,25 @@ class OpMeter:
 
     ``checkpoint()``/``delta()`` let callers measure the cost of a
     protocol step that spans several device operations (e.g., one WORM
-    write = DMA + hash + two signatures).
+    write = DMA + hash + two signatures).  The meter keeps per-name
+    totals and a count, not one record per charge, so it stays the same
+    size however long the device runs.
     """
 
     def __init__(self) -> None:
-        self._records: List[OpRecord] = []
+        self._by_name: Dict[str, float] = {}
+        self._count = 0
         self._total = 0.0
         self._crossings = 0
         self._bytes_crossed = 0
-        self._bus = None
-        self._bus_device: Optional[str] = None
-
-    def attach_telemetry(self, bus, device_name: str) -> None:
-        """Mirror every future charge into *bus* as ``device.<name>.*``.
-
-        *bus* is duck-typed (a :class:`~repro.obs.TelemetryBus`; this
-        module stays obs-import-free).  Charges accumulated *before*
-        attaching are seeded into the counters, so
-        ``bus.counter(f"device.{name}.seconds")`` equals
-        :attr:`total_seconds` exactly from the moment of attachment —
-        the invariant the obs reconciliation checks against
-        ``cost_summary``.
-        """
-        self._bus = bus
-        self._bus_device = device_name
-        bus.declare_counter(f"device.{device_name}.ops")
-        bus.declare_counter(f"device.{device_name}.seconds")
-        if self._records:
-            bus.inc(f"device.{device_name}.ops", len(self._records))
-            bus.inc(f"device.{device_name}.seconds", self._total)
 
     def charge(self, name: str, seconds: float) -> float:
         """Record an operation; returns *seconds* for call-site chaining."""
         if seconds < 0:
             raise ValueError(f"negative cost for {name}: {seconds}")
-        self._records.append(OpRecord(name, seconds))
+        self._by_name[name] = self._by_name.get(name, 0.0) + seconds
+        self._count += 1
         self._total += seconds
-        if self._bus is not None:
-            self._bus.device_charge(self._bus_device, name, seconds)
         return seconds
 
     def crossing(self, nbytes: int = 0) -> None:
@@ -121,7 +93,8 @@ class OpMeter:
 
     @property
     def operation_count(self) -> int:
-        return len(self._records)
+        """Operations charged so far."""
+        return self._count
 
     def checkpoint(self) -> float:
         """Opaque marker for :meth:`delta`."""
@@ -133,14 +106,12 @@ class OpMeter:
 
     def by_operation(self) -> Dict[str, float]:
         """Total seconds grouped by operation name."""
-        grouped: Dict[str, float] = {}
-        for record in self._records:
-            grouped[record.name] = grouped.get(record.name, 0.0) + record.seconds
-        return grouped
+        return dict(self._by_name)
 
     def reset(self) -> None:
-        """Clear all records (benchmark warm-up boundaries)."""
-        self._records.clear()
+        """Clear all totals (benchmark warm-up boundaries)."""
+        self._by_name.clear()
+        self._count = 0
         self._total = 0.0
         self._crossings = 0
         self._bytes_crossed = 0

@@ -14,9 +14,11 @@ hashing, verification) across all cards.
 protocol — the same service surface as a single
 :class:`~repro.hardware.scpu.SecureCoprocessor` — so
 :class:`~repro.core.worm.StrongWormStore` can be constructed over a pool
-unchanged; its aggregate :class:`~repro.hardware.device.OpMeter` views
-let benchmarks attribute cost per card.  For queueing simulations, the
-pool's size maps to ``TimedDevice(capacity=n)``.
+unchanged.  The pool's ``meter`` sums every card's
+:class:`~repro.hardware.device.OpMeter`, so a store's receipts and cost
+summaries count the work of the worker cards too, while
+:meth:`ScpuPool.per_card_cost_seconds` attributes cost per card.  For
+queueing simulations, the pool's size maps to ``TimedDevice(capacity=n)``.
 
 The forwarding facade is *generated* from the card's own surface table,
 :data:`~repro.hardware.scpu.CARD_OPS`, which says for every card op
@@ -33,7 +35,7 @@ response.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.hardware.scpu import (
     CARD_OPS,
@@ -48,9 +50,61 @@ __all__ = ["ScpuPool"]
 
 #: Read-only attributes forwarded to the authority card.
 _AUTHORITY_PROPERTIES = (
-    "now", "clock", "profile", "hash_block_size", "tamper", "meter",
+    "now", "clock", "profile", "hash_block_size", "tamper",
     "current_serial_number", "sn_base", "current_epoch",
 )
+
+
+class PoolMeter:
+    """The pool's meter: a read-only sum over every card's meter.
+
+    Signing and hashing round-robin across the cards, so totals, counts,
+    crossings and :meth:`by_operation` add up all of them, and
+    :meth:`checkpoint`/:meth:`delta` measure that sum.  A charge or
+    crossing handed to the pool itself (fault-injected latency, say)
+    lands on the SN authority's meter.
+    """
+
+    def __init__(self, pool: "ScpuPool") -> None:
+        self._pool = pool
+
+    def _meters(self):
+        return [card.meter for card in self._pool._cards]
+
+    def charge(self, name: str, seconds: float) -> float:
+        return self._pool._authority().meter.charge(name, seconds)
+
+    def crossing(self, nbytes: int = 0) -> None:
+        self._pool._authority().meter.crossing(nbytes)
+
+    @property
+    def crossings(self) -> int:
+        return sum(meter.crossings for meter in self._meters())
+
+    @property
+    def bytes_crossed(self) -> int:
+        return sum(meter.bytes_crossed for meter in self._meters())
+
+    @property
+    def total_seconds(self) -> float:
+        return sum(meter.total_seconds for meter in self._meters())
+
+    @property
+    def operation_count(self) -> int:
+        return sum(meter.operation_count for meter in self._meters())
+
+    def checkpoint(self) -> float:
+        return self.total_seconds
+
+    def delta(self, checkpoint: float) -> float:
+        return self.total_seconds - checkpoint
+
+    def by_operation(self) -> Dict[str, float]:
+        grouped: Dict[str, float] = {}
+        for meter in self._meters():
+            for name, seconds in meter.by_operation().items():
+                grouped[name] = grouped.get(name, 0.0) + seconds
+        return grouped
 
 
 @install_card_ops
@@ -67,6 +121,7 @@ class ScpuPool(BatchOfOne):
             raise ValueError("pool cards must share one provisioned keyring")
         self._cards = list(cards)
         self._next = 0
+        self.meter = PoolMeter(self)
 
     @classmethod
     def build(cls, size: int, keyring: Optional[ScpuKeyring] = None,
@@ -122,7 +177,7 @@ class ScpuPool(BatchOfOne):
 
     def total_cost_seconds(self) -> float:
         """Aggregate virtual seconds across every card in the pool."""
-        return sum(card.meter.total_seconds for card in self._cards)
+        return self.meter.total_seconds
 
     def per_card_cost_seconds(self) -> List[float]:
         return [card.meter.total_seconds for card in self._cards]

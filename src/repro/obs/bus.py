@@ -2,22 +2,23 @@
 
 The paper's performance argument is about *where time and SCPU touches
 go* — O(1) window authentication, deferred strengthening, read paths
-that never enter the card's queue.  Until PR 5 that attribution was
-scattered across ad-hoc dicts (``health_report``,
-``StrengtheningQueue.report``, ``cost_summary``, ``RetryStats``) with no
-common schema.  :class:`TelemetryBus` is the common substrate those
-numbers now also flow through:
+that never enter the card's queue.  :class:`TelemetryBus` gives those
+numbers one exported schema:
 
 * **counters** — monotonic named totals (``store.writes``,
-  ``retry.retries``, ``device.scpu.seconds``).  Components *declare*
-  their counters up front, so a snapshot always carries the full name
-  set even when a counter never fired — counter names are an API, and
-  the committed schema (``scripts/obs_schema.json``) holds renames to
-  CI review;
+  ``retry.retries``, ``device.scpu.seconds``).  A count that a
+  component already keeps (a meter total, ``RetryStats``, a queue's
+  tallies, a tenant's request count) is *registered* as a view and
+  read from its owner at snapshot time; only counts with no other home
+  are pushed with :meth:`TelemetryBus.inc`.  Either way there is one
+  copy.  Components declare or register their counters up front, so a
+  snapshot always carries the full name set even when a counter never
+  fired — counter names are an API, and the committed schema
+  (``scripts/obs_schema.json``) holds renames to CI review;
 * **gauges** — pull-style callables sampled at snapshot time (backlog
   depths, pending queue sizes).  Several providers may register under
   one name; the snapshot reports their sum, which is exactly how a
-  sharded store aggregates;
+  sharded store aggregates (counter views sum the same way);
 * **histograms** — fixed-bucket distributions of *virtual-time* values
   (per-op device seconds, group-commit batch sizes);
 * **events** — an append-only, bounded log of discrete happenings
@@ -35,8 +36,9 @@ never integrity (no laundering: reports *about* weak constructs never
 substitute for strengthening them).
 
 A disabled bus (``TelemetryBus(enabled=False)``) turns every mutator
-into a no-op, so instrumented hot paths stay branch-cheap; the shared
-:data:`NULL_BUS` is the default wired into un-observed stores.
+and registration into a no-op, so instrumented hot paths stay
+branch-cheap; the shared :data:`NULL_BUS` is the default wired into
+un-observed stores.
 """
 
 from __future__ import annotations
@@ -112,6 +114,7 @@ class TelemetryBus:
         self.trace = trace
         self.event_capacity = event_capacity
         self._counters: Dict[str, float] = {}
+        self._counter_views: Dict[str, List[Callable[[], float]]] = {}
         self._gauges: Dict[str, List[Callable[[], float]]] = {}
         self._histograms: Dict[str, Histogram] = {}
         self._events: List[TelemetryEvent] = []
@@ -131,10 +134,31 @@ class TelemetryBus:
             return
         if n < 0:
             raise ValueError(f"counter {name} cannot decrease (n={n})")
+        if name in self._counter_views:
+            raise ValueError(f"counter {name} is read from the component "
+                             "that keeps it; it cannot also be pushed")
         self._counters[name] = self._counters.get(name, 0.0) + n
+
+    def register_counter(self, name: str, fn: Callable[[], float]) -> None:
+        """Register a count a component already keeps as a counter view.
+
+        Like a gauge, several providers may share one name (one per
+        shard or tenant) and a read reports their sum — but the name is
+        exported as a counter, so *fn* must never decrease.  A name is
+        either pushed with :meth:`inc` or registered here, never both.
+        """
+        if not self.enabled:
+            return
+        if name in self._counters:
+            raise ValueError(f"counter {name} is already pushed; it cannot "
+                             "also be read from a component")
+        self._counter_views.setdefault(name, []).append(fn)
 
     def counter(self, name: str) -> float:
         """Current value of the named counter (0 when never touched)."""
+        views = self._counter_views.get(name)
+        if views is not None:
+            return _sum(views)
         return self._counters.get(name, 0.0)
 
     # -- gauges ---------------------------------------------------------------
@@ -151,7 +175,7 @@ class TelemetryBus:
 
     def gauge_value(self, name: str) -> float:
         """Current summed value of the named gauge (0 when unregistered)."""
-        return float(sum(fn() for fn in self._gauges.get(name, [])))
+        return _sum(self._gauges.get(name, []))
 
     # -- histograms -----------------------------------------------------------
 
@@ -204,38 +228,24 @@ class TelemetryBus:
             return
         self.trace.record(name, category, start, end, **metadata)
 
-    # -- device metering hook -------------------------------------------------
-
-    def device_charge(self, device: str, op: str, seconds: float) -> None:
-        """One metered device operation (see ``OpMeter.attach_telemetry``).
-
-        Maintains the two-counter attribution the reconciliation checks
-        against ``cost_summary``: ``device.<name>.ops`` and
-        ``device.<name>.seconds``.  *op* is accepted for future per-op
-        breakdowns but deliberately not fanned into counters — the
-        per-operation split stays on :meth:`OpMeter.by_operation`.
-        """
-        if not self.enabled:
-            return
-        self.inc(f"device.{device}.ops")
-        self.inc(f"device.{device}.seconds", seconds)
-
     # -- snapshot -------------------------------------------------------------
 
     def snapshot(self) -> Dict[str, object]:
         """Point-in-time view of everything the bus knows.
 
         This dict is the export/validation surface: the JSON snapshot the
-        ``obs`` CLI writes, the structure ``scripts/obs_schema.json``
-        locks down, and the numbers
-        :func:`repro.obs.reconcile.reconcile_sharded` squares against the
-        legacy reports.
+        ``obs`` CLI writes and the structure ``scripts/obs_schema.json``
+        locks down.  Counter views are read here, from the components
+        that keep them.
         """
         by_name: Dict[str, int] = {}
         for event in self._events:
             by_name[event.name] = by_name.get(event.name, 0) + 1
+        counters = dict(self._counters)
+        for name, views in self._counter_views.items():
+            counters[name] = _sum(views)
         return {
-            "counters": dict(self._counters),
+            "counters": counters,
             "gauges": {name: self.gauge_value(name) for name in self._gauges},
             "histograms": {name: histogram.as_dict()
                            for name, histogram in self._histograms.items()},
@@ -244,6 +254,11 @@ class TelemetryBus:
                        "by_name": by_name},
             "spans": len(self.trace) if self.trace is not None else 0,
         }
+
+
+def _sum(providers: List[Callable[[], float]]) -> float:
+    """The summed current value of several pull-style providers."""
+    return float(sum(fn() for fn in providers))
 
 
 #: The shared disabled bus un-observed stores wire in: every mutator is a

@@ -36,10 +36,11 @@ def _metric_name(name: str) -> str:
 
     ``device.scpu.seconds`` becomes ``repro_device_scpu_seconds``; the
     ``repro_`` prefix namespaces the store against anything else a
-    scrape might pick up.
+    scrape might pick up.  Only ASCII letters and digits survive; every
+    other character becomes ``_``.
     """
     return "repro_" + "".join(
-        ch if (ch.isalnum() or ch == "_") else "_" for ch in name)
+        ch if ch.isascii() and ch.isalnum() else "_" for ch in name)
 
 
 def to_prometheus(bus: TelemetryBus) -> str:

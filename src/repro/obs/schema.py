@@ -6,8 +6,8 @@ The container ships no third-party packages, so CI cannot lean on
 ``properties``, ``additionalProperties`` (schema form), and ``items`` —
 and nothing more.  The point of the schema check is API stability:
 counter and gauge names are load-bearing (benchmark trajectories and
-the reconciliation in :mod:`repro.obs.reconcile` key on them), so a
-rename must fail ``make obs`` rather than silently shift the data.
+dashboards key on them), so a rename must fail ``make obs`` rather
+than silently shift the data.
 
 :func:`validate` returns a list of human-readable problems instead of
 raising: CI prints them all at once, and an empty list is the pass

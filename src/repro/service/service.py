@@ -31,6 +31,7 @@ Tamper trips always escalate: the service never converts
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro.core.audit import StoreAuditor
@@ -68,9 +69,9 @@ from repro.service.tenants import DeferredTicket, TenantConfig, TenantState
 
 __all__ = ["WormService"]
 
-#: Per-tenant counter suffixes mirrored onto the telemetry bus as
-#: ``service.tenant.<name>.<suffix>`` (declared, so renames fail the
-#: schema gate in CI).
+#: Per-tenant :class:`TenantState` fields the telemetry bus reads as
+#: ``service.tenant.<name>.<suffix>`` (registered up front, so renames
+#: fail the schema gate in CI).
 TENANT_COUNTERS = ("requests", "accepted", "deferred", "redeemed", "rejected")
 
 _SERVICE_COUNTERS = ("service.requests", "service.accepted",
@@ -152,10 +153,10 @@ class WormService:
             raise ValueError(f"tenant {config.name!r} already provisioned")
         state = TenantState(config=config)
         self._tenants[config.name] = state
-        if self.obs.enabled:
-            for suffix in TENANT_COUNTERS:
-                self.obs.declare_counter(
-                    f"service.tenant.{config.name}.{suffix}")
+        for suffix in TENANT_COUNTERS:
+            self.obs.register_counter(
+                f"service.tenant.{config.name}.{suffix}",
+                partial(getattr, state, suffix))
         return state
 
     def tenant(self, name: str) -> TenantState:
@@ -189,7 +190,6 @@ class WormService:
                 raise UnknownTenantError(
                     f"tenant {request.tenant!r} is not provisioned")
             state.requests += 1
-            self._tenant_inc(state, "requests")
             status, body = self._handlers[request.operation](
                 state, dict(request.params), now)
         except TamperedError:
@@ -223,7 +223,6 @@ class WormService:
         self.obs.inc("service.rejected")
         if state is not None:
             state.rejected += 1
-            self._tenant_inc(state, "rejected")
         return ServiceResponse(status=problem.status,
                                headers=self._headers(state, now, retry_after),
                                problem=problem,
@@ -233,10 +232,6 @@ class WormService:
                  retry_after: Optional[float] = None) -> Dict[str, str]:
         bucket = state.bucket if state is not None else self._anon_bucket
         return ratelimit_headers(bucket, now, retry_after)
-
-    def _tenant_inc(self, state: TenantState, suffix: str,
-                    n: float = 1.0) -> None:
-        self.obs.inc(f"service.tenant.{state.config.name}.{suffix}", n)
 
     # ------------------------------------------------------- locator scoping
 
@@ -334,7 +329,6 @@ class WormService:
         state.tickets[ticket] = DeferredTicket(ticket=ticket, submitted_at=now)
         state.deferred += 1
         self.obs.inc("service.deferred")
-        self._tenant_inc(state, "deferred")
         self._store.submit(payload, tag=(state.config.name, ticket), **kwargs)
         self._pump()  # the submit may have auto-flushed a full group
         return ticket
@@ -359,7 +353,6 @@ class WormService:
             state.owned.add(packed)
             state.accepted += 1
             self.obs.inc("service.accepted")
-            self._tenant_inc(state, "accepted")
             return 201, {"locator": self._scope(state, packed),
                          "sn": receipt.locator.sn,
                          "shard": receipt.locator.shard_id}
@@ -385,7 +378,6 @@ class WormService:
                 locators.append(self._scope(state, packed))
             state.accepted += len(receipts)
             self.obs.inc("service.accepted", len(receipts))
-            self._tenant_inc(state, "accepted", len(receipts))
             return 201, {"locators": locators}
         tickets = [self._defer(state, payload, kwargs, now)
                    for payload in payloads]
@@ -538,7 +530,6 @@ class WormService:
         entry.packed_locator = packed
         state.redeemed += 1
         self.obs.inc("service.redeemed")
-        self._tenant_inc(state, "redeemed")
         self.obs.observe("service.defer_wait_seconds",
                          max(0.0, self.now - entry.submitted_at))
 
@@ -590,16 +581,13 @@ class WormService:
         }
 
     def reconcile(self) -> List[str]:
-        """Cross-check tenant accounting against receipts and the bus.
+        """Cross-check tenant accounting against receipts.
 
-        Returns human-readable discrepancy strings (empty = clean),
-        in the style of :func:`repro.obs.reconcile.reconcile_sharded`:
+        Returns human-readable discrepancy strings (empty = clean):
 
         * every accepted or redeemed write has exactly one owned
           durable locator;
-        * every deferral was either redeemed or is still pending;
-        * the telemetry bus's per-tenant counters agree with the
-          service's own bookkeeping.
+        * every deferral was either redeemed or is still pending.
         """
         problems: List[str] = []
         for name, state in self._tenants.items():
@@ -615,14 +603,4 @@ class WormService:
                     f"tenant {name}: {state.deferred} deferrals != "
                     f"{state.redeemed} redeemed + "
                     f"{state.pending_deferred} pending")
-            if not self.obs.enabled:
-                continue
-            for suffix in TENANT_COUNTERS:
-                bus_value = self.obs.counter(f"service.tenant.{name}.{suffix}")
-                own_value = getattr(state, suffix)
-                if bus_value != own_value:
-                    problems.append(
-                        f"tenant {name}: bus counter "
-                        f"service.tenant.{name}.{suffix}={bus_value:g} "
-                        f"but service accounting says {own_value}")
         return problems

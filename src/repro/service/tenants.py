@@ -12,17 +12,20 @@ The split between the two classes mirrors the rest of the codebase:
 :class:`TenantConfig` is a frozen declaration (like ``StoreConfig``),
 :class:`TenantState` is the mutable runtime bookkeeping the service
 keeps per tenant (bucket level, owned locators, outstanding tickets,
-reconciliation counters).
+request counters).
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Set
 
 from repro.service.ratelimit import TokenBucket
 
 __all__ = ["TenantConfig", "TenantState", "DeferredTicket"]
+
+_TENANT_NAME = re.compile(r"[A-Za-z0-9_]+")
 
 
 @dataclass(frozen=True)
@@ -45,10 +48,11 @@ class TenantConfig:
     allowed_policies: Optional[frozenset] = None
 
     def __post_init__(self) -> None:
-        if not self.name or "/" in self.name:
+        if not _TENANT_NAME.fullmatch(self.name):
             raise ValueError(
-                "tenant names are non-empty and must not contain '/' "
-                "(it separates the tenant prefix in scoped locators)")
+                f"tenant name {self.name!r} must be non-empty ASCII letters, "
+                "digits and '_' (it prefixes scoped locators and names "
+                "telemetry series)")
         if self.rate <= 0:
             raise ValueError("tenant rate must be positive")
         if self.burst < 1:
@@ -85,7 +89,7 @@ class TenantState:
     owned: Set[str] = field(default_factory=set)
     #: Outstanding and redeemed deferral tickets, by ticket id.
     tickets: Dict[str, DeferredTicket] = field(default_factory=dict)
-    #: Reconciliation counters (mirrored into the telemetry bus).
+    #: Request counters (the telemetry bus reads them; see TENANT_COUNTERS).
     requests: int = 0
     accepted: int = 0
     deferred: int = 0

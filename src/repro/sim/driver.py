@@ -287,9 +287,9 @@ def run_sharded_chaos_loop(shardstore: ShardedSimStore,
     :meth:`~repro.core.sharded.ShardedWormStore.submit` path; group
     commits replay their costs on the committing shards' devices.  After
     the simulation drains, leftover pending records are flushed (up to
-    *drain_attempts* rounds — transient faults may bounce a flush) and
-    the store's retry/failover/fault counters are folded into the
-    metrics, so a chaos test asserts loss and health from one object.
+    *drain_attempts* rounds — transient faults may bounce a flush).
+    Retry, failover and degradation totals are in the result's
+    ``health``; injected faults stay on the plans.
 
     Ingest stops early only when the store raises
     :class:`~repro.core.errors.TamperedError` — every card gone — which
@@ -358,21 +358,8 @@ def run_sharded_chaos_loop(shardstore: ShardedSimStore,
             receipts.extend(getattr(exc, "partial_receipts", []))
             metrics.increment("chaos.drain_retries")
 
-    health = store.health_report()
-    retry_total = health["retry_total"]
-    metrics.increment("retry.calls", retry_total["calls"])
-    metrics.increment("retry.retries", retry_total["retries"])
-    metrics.increment("retry.exhausted", retry_total["exhausted"])
-    metrics.increment("failovers", health["failovers"])
-    metrics.increment("shards.degraded", len(health["degraded_shards"]))
-    metrics.increment("records.accepted", len(receipts))
-    metrics.increment("records.unflushed", store.pending_count)
-    for plan in shardstore.fault_plans:
-        if plan is None:
-            continue
-        for kind, count in plan.injected.items():
-            metrics.increment(f"faults.{kind}", count)
-    return ChaosResult(metrics=metrics, receipts=receipts, health=health)
+    return ChaosResult(metrics=metrics, receipts=receipts,
+                       health=store.health_report())
 
 
 def _execute(simstore: SimulatedStore, request: WorkRequest,

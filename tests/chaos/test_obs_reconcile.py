@@ -1,13 +1,15 @@
-"""Telemetry under fault injection: one story, told twice, no drift.
+"""Telemetry under fault injection: the bus reads every count's one home.
 
-The bus's snapshot and the legacy reports (``health_report``,
-``cost_summary``, the queue ``report()``s) are two accountings of the
-same run.  Under a chaotic burst — transient faults on every shard, one
-card tripping tamper mid-burst — they must agree exactly: backlog
-depths, failover and degradation counts, retry totals, and per-device
-virtual seconds.  Divergence would mean the new telemetry invents or
-loses events, which is exactly the failure mode the reconciliation in
-:mod:`repro.obs.reconcile` exists to catch.
+A count a component already keeps — meter totals, ``RetryStats``, the
+deferred queues' tallies, a breaker's degraded flag, the failover count,
+a tenant's request counters — is registered on the bus as a view, not
+mirrored.  Under a chaotic burst (transient faults on every shard, one
+card tripping tamper mid-burst) the snapshot must therefore agree
+exactly with ``health_report``, ``cost_summary`` and the queue
+``report()``s: backlog depths, failover and degradation counts, retry
+totals, and per-device virtual seconds.  The view test below also
+catches a view wired to the wrong component, such as a loop variable
+captured late by a provider.
 """
 
 from __future__ import annotations
@@ -21,7 +23,13 @@ from repro.core.sharded import ShardedWormStore
 from repro.core.worm import StrongWormStore
 from repro.faults import FaultPlan, FaultyScpu
 from repro.hardware.scpu import SecureCoprocessor, Strength
-from repro.obs import TelemetryBus, reconcile_sharded
+from repro.obs import TelemetryBus
+from repro.service import (
+    TENANT_COUNTERS,
+    ServiceRequest,
+    TenantConfig,
+    WormService,
+)
 from repro.sim.manual_clock import ManualClock
 
 pytestmark = pytest.mark.chaos
@@ -73,7 +81,6 @@ class TestSnapshotAgreesWithHealthReport:
         receipts = chaotic_burst(store)
         assert len(receipts) == 60
         assert store.degraded_shards == (1,)
-        assert reconcile_sharded(store, store.telemetry_snapshot()) == []
 
     def test_backlog_depth_agrees(self, observed):
         """The headline: both accountings see the same strengthening debt."""
@@ -114,6 +121,96 @@ class TestSnapshotAgreesWithHealthReport:
         for device in ("scpu", "host", "disk"):
             assert (bus.counter(f"device.{device}.seconds")
                     == pytest.approx(costs[device]))
+
+
+class TestCountersReadTheirHomes:
+    """Each counter view equals its home, summed over shards or tenants."""
+
+    @staticmethod
+    def homes(store, service):
+        shards = store.shards
+        expected = {}
+        for device in ("scpu", "host", "disk"):
+            meters = [getattr(shard, device).meter for shard in shards]
+            expected[f"device.{device}.ops"] = sum(
+                meter.operation_count for meter in meters)
+            expected[f"device.{device}.seconds"] = sum(
+                meter.total_seconds for meter in meters)
+        for name in ("calls", "retries", "exhausted", "backoff_seconds"):
+            expected[f"retry.{name}"] = sum(
+                getattr(shard.retry.stats, name) for shard in shards)
+        expected["breaker.degraded"] = len(store.degraded_shards)
+        expected["sharded.failovers"] = store.failover_count
+        for name, field in (("completed", "strengthened_count"),
+                            ("lifetime_violations", "lifetime_violations"),
+                            ("skipped_deleted", "skipped_deleted")):
+            expected[f"strengthen.{name}"] = sum(
+                getattr(shard.strengthening, field) for shard in shards)
+        queues = [shard.hash_verification for shard in shards]
+        expected["hashverify.verified"] = sum(q.verified_count for q in queues)
+        expected["hashverify.mismatches"] = sum(
+            len(q.mismatches) for q in queues)
+        expected["hashverify.skipped_deleted"] = sum(
+            q.skipped_deleted for q in queues)
+        for tenant, state in service.tenants.items():
+            for suffix in TENANT_COUNTERS:
+                expected[f"service.tenant.{tenant}.{suffix}"] = getattr(
+                    state, suffix)
+        return expected
+
+    def test_every_view_family_equals_its_home(self):
+        bus = TelemetryBus()
+        plans = [FaultPlan(seed=40 + i, transient_rate=0.08)
+                 for i in range(4)]
+        plans[1].tamper(after_ops=10)
+        store = build_observed_sharded(plans, bus)
+        chaotic_burst(store)
+        # Two short-lived weak, host-hashed writes expire before idle
+        # time, so both queues skip them; of four long-lived host-hashed
+        # writes one is corrupted on disk (a mismatch) and three verify.
+        for i in range(2):
+            store.write([b"short-%d" % i], retention_seconds=5.0,
+                        strength=Strength.WEAK, defer_data_hash=True)
+        hashed = [store.write([b"hashed-%d" % i], retention_seconds=3600.0,
+                              defer_data_hash=True) for i in range(4)]
+        vrd = store.shard(hashed[0].shard_id).vrdt.get_active(hashed[0].sn)
+        store.shard(hashed[0].shard_id).blocks.unchecked_overwrite(
+            vrd.rdl[0].key, b"forged")
+        store.advance_clocks(10.0)
+        store.maintenance()
+
+        service = WormService(store, tenants=[
+            TenantConfig("acme", rate=0.01, burst=2, max_deferred=8),
+            TenantConfig("globex", rate=0.01, burst=4, max_deferred=8)])
+        for tenant, writes in (("acme", 4), ("globex", 1)):
+            for i in range(writes):
+                service.handle(ServiceRequest(
+                    operation="write", tenant=tenant,
+                    params={"payload": b"%s-%d" % (tenant.encode(), i),
+                            "retention_seconds": 3600.0}))
+        service.handle(ServiceRequest(operation="read", tenant="globex",
+                                      params={"locator": "acme/0:1:0"}))
+        service.flush()
+
+        expected = self.homes(store, service)
+        counters = bus.snapshot()["counters"]
+        assert {name: counters[name] for name in expected} == expected
+        assert all(bus.counter(name) == value
+                   for name, value in expected.items())
+        # Each family did real work, so a view reading the wrong home
+        # (another shard, tenant, field or device) cannot pass by zeros.
+        for name in ("device.scpu.ops", "device.host.ops", "device.disk.ops",
+                     "retry.calls", "retry.retries", "retry.backoff_seconds",
+                     "breaker.degraded", "sharded.failovers",
+                     "strengthen.completed", "strengthen.skipped_deleted",
+                     "hashverify.verified", "hashverify.mismatches",
+                     "hashverify.skipped_deleted",
+                     "service.tenant.acme.deferred",
+                     "service.tenant.acme.redeemed",
+                     "service.tenant.globex.rejected"):
+            assert expected[name] > 0, name
+        assert (expected["service.tenant.acme.requests"]
+                != expected["service.tenant.globex.requests"])
 
 
 class TestViolationAccountingUnderFaults:

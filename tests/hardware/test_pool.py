@@ -122,6 +122,17 @@ class TestPoolBackedStore:
         costs = pool.per_card_cost_seconds()
         assert all(cost > 0 for cost in costs)
 
+    def test_receipts_count_every_cards_work(self):
+        # Worker cards sign and hash too; the receipts must include them.
+        pool = ScpuPool.build(2, keyring=demo_keyring(), clock=ManualClock())
+        store = StrongWormStore(scpu=pool)
+        before = pool.total_cost_seconds()
+        receipts = [store.write([bytes(1000)]) for _ in range(6)]
+        assert sum(r.costs["scpu"] for r in receipts) == pytest.approx(
+            pool.total_cost_seconds() - before)
+        assert pool.meter.crossings == sum(
+            card.meter.crossings for card in pool.cards)
+
     def test_full_lifecycle_on_pool(self, pool, ca):
         store = StrongWormStore(scpu=pool)
         client = store.make_client(ca)

@@ -3,7 +3,7 @@
 The bus is untrusted main-CPU bookkeeping: it never reads a clock
 (callers stamp virtual times), a disabled bus is a pure no-op, and the
 snapshot is the single export surface everything downstream (schema
-check, reconciliation, benchmarks) keys on.
+check, benchmarks) keys on.
 """
 
 from __future__ import annotations
@@ -134,13 +134,32 @@ class TestSpans:
         assert bus.snapshot()["spans"] == 0
 
 
-class TestDeviceCharge:
-    def test_maintains_ops_and_seconds_counters(self):
+class TestCounterViews:
+    def test_providers_summed_at_read_time(self):
+        # One provider per shard, read from the count the shard keeps.
         bus = TelemetryBus()
-        bus.device_charge("scpu", "sign", 1.2)
-        bus.device_charge("scpu", "verify", 0.3)
-        assert bus.counter("device.scpu.ops") == 2.0
-        assert bus.counter("device.scpu.seconds") == pytest.approx(1.5)
+        kept = {"a": 2, "b": 5}
+        bus.register_counter("retry.calls", lambda: kept["a"])
+        bus.register_counter("retry.calls", lambda: kept["b"])
+        assert bus.counter("retry.calls") == 7.0
+        kept["a"] += 3
+        assert bus.counter("retry.calls") == 10.0
+
+    def test_views_present_in_snapshot_counters(self):
+        bus = TelemetryBus()
+        bus.inc("store.writes")
+        bus.register_counter("device.scpu.ops", lambda: 4)
+        assert bus.snapshot()["counters"] == {"store.writes": 1.0,
+                                              "device.scpu.ops": 4.0}
+
+    def test_a_name_is_pushed_or_read_never_both(self):
+        bus = TelemetryBus()
+        bus.register_counter("sharded.failovers", lambda: 1)
+        with pytest.raises(ValueError):
+            bus.inc("sharded.failovers")
+        bus.inc("store.writes")
+        with pytest.raises(ValueError):
+            bus.register_counter("store.writes", lambda: 1)
 
 
 class TestDisabledBus:
@@ -152,8 +171,9 @@ class TestDisabledBus:
         bus.declare_histogram("h")
         bus.observe("h", 1.0)
         bus.event("e", 0.0)
-        bus.device_charge("scpu", "sign", 1.0)
+        bus.register_counter("v", lambda: 3.0)
         assert bus.counter("c") == 0.0
+        assert bus.counter("v") == 0.0
         assert bus.gauge_value("g") == 0.0
         assert bus.histogram("h") is None
         assert bus.events == ()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 from repro.cli import main
@@ -18,6 +19,9 @@ from repro.obs import (
 from repro.sim.tracing import TraceRecorder
 
 SCHEMA_PATH = Path(__file__).parents[2] / "scripts" / "obs_schema.json"
+
+#: The Prometheus metric-name grammar.
+METRIC_NAME = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*")
 
 
 def populated_bus() -> TelemetryBus:
@@ -61,6 +65,25 @@ class TestPrometheus:
         bus = TelemetryBus()
         bus.inc("device.scpu.seconds", 1.5)
         assert "repro_device_scpu_seconds 1.5" in to_prometheus(bus)
+
+    def test_every_series_name_fits_the_grammar_once(self, capsys):
+        """A scraper rejects a name outside the metric grammar and a
+        ``# TYPE`` line repeated for one series."""
+        assert main(["obs", "--shards", "2", "--records", "12",
+                     "--fault-rate", "0", "--format", "prom"]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line]
+        typed = [line.split()[2] for line in lines
+                 if line.startswith("# TYPE ")]
+        assert len(typed) == len(set(typed))
+        assert "repro_service_tenant_default_requests" in typed
+        bus = TelemetryBus()
+        bus.inc("service.tenant.café.requests")
+        lines += to_prometheus(bus).splitlines()
+        for line in lines:
+            name = (line.split()[2] if line.startswith("# TYPE ")
+                    else re.split(r"[{ ]", line, maxsplit=1)[0])
+            assert METRIC_NAME.fullmatch(name), line
 
 
 class TestChromeTrace:
@@ -133,8 +156,9 @@ class TestObsCli:
     def test_fault_free_run_exits_clean(self, capsys):
         assert main(["obs", "--shards", "2", "--records", "12",
                      "--fault-rate", "0"]) == 0
-        out = capsys.readouterr().out
-        assert "reconciliation vs health_report/cost_summary: OK" in out
+        captured = capsys.readouterr()
+        assert "device.scpu.seconds" in captured.out
+        assert "MISMATCH" not in captured.err
 
     def test_snapshot_passes_committed_schema(self, capsys):
         assert main(["obs", "--shards", "2", "--records", "12",

@@ -243,6 +243,9 @@ class TestTenantConfigValidation:
             TenantConfig("")
         with pytest.raises(ValueError):
             TenantConfig("a/b")
+        for name in ("café", "a-b", "a.b"):
+            with pytest.raises(ValueError):
+                TenantConfig(name)
 
     def test_rejects_bad_limits(self):
         with pytest.raises(ValueError):

@@ -185,3 +185,11 @@ class TestAttestation:
         assert main(["attest", str(store_dir),
                      "--previous", str(later)]) == 2
         assert "FAILED" in capsys.readouterr().err
+
+
+class TestFaultsDemo:
+    def test_degraded_shard_loses_no_accepted_record(self, capsys):
+        assert main(["faults-demo"]) == 0
+        out = capsys.readouterr().out
+        assert "no accepted record lost" in out
+        assert "degraded:   shards [1]" in out
