@@ -1,4 +1,4 @@
-.PHONY: check test lint wormlint lint-sarif bench chaos obs service recover auth-ablation perf
+.PHONY: check test lint wormlint lint-sarif bench chaos obs service recover perf
 
 # wormlint + ruff (if installed) + tier-1 tests. The pre-merge gate.
 check:
@@ -49,18 +49,12 @@ recover:
 	PYTHONPATH=src python -m repro.cli recover --records 400
 	PYTHONPATH=src python -m repro.cli recover --records 200 --corrupt
 
-# Three-way authentication-scheme ablation (windows / Merkle / RSA
-# accumulator): regenerates benchmarks/BENCH_ablation_auth_<scheme>.json.
-# The sweep is deterministic, so `--check` in scripts/check.sh gates on
-# these committed artifacts matching the cost model.
-auth-ablation:
-	PYTHONPATH=src python -m repro.cli auth-ablation
-
-# Hot-path perf baselines (shard scaling, figure-1 subset, read path):
-# regenerates benchmarks/BENCH_shard/figure1/read.json.  Deterministic
-# virtual-time numbers; scripts/check.sh band-checks the committed
-# files (±10%: throughput may not drop, SCPU crossings may not grow).
-# Run this to re-baseline after an intentional perf change.
+# Every committed virtual-time artifact: benchmarks/BENCH_shard.json,
+# BENCH_figure1.json, BENCH_read.json and
+# BENCH_ablation_auth_{windows,merkle,accumulator}.json.  The numbers are
+# deterministic, so scripts/check.sh regenerates them and compares byte
+# for byte.  Run this to re-baseline after an intentional change, and
+# commit the regenerated files with it.
 perf:
 	PYTHONPATH=src python -m repro.cli perf
 

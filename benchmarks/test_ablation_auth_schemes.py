@@ -9,8 +9,9 @@ update is also O(1), but signed per write rather than amortized.
 All three run as first-class backends behind ``StoreConfig.auth_scheme``
 (the ``repro.baselines.merkle_worm`` special case this file's predecessor
 measured is superseded), through one measurement core —
-:mod:`repro.sim.ablation` — shared with the ``repro.cli auth-ablation``
-artifact generator.  Expected shape, checked below:
+:mod:`repro.sim.ablation` — shared with :mod:`repro.perf`, which
+generates the committed ``BENCH_ablation_auth_<scheme>.json``
+artifacts.  Expected shape, checked below:
 
 * **update cost**: windows flat and cheapest; Merkle grows with log n;
   accumulator flat but with a per-write signature premium;

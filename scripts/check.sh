@@ -67,11 +67,8 @@ echo "==> obs (snapshot schema + tenant accounting)"
 PYTHONPATH=src python -m repro.cli obs --shards 2 --records 48 \
     --check scripts/obs_schema.json >/dev/null
 
-echo "==> auth-ablation artifacts (committed BENCH files vs cost model)"
-PYTHONPATH=src python -m repro.cli auth-ablation --check >/dev/null
-
-echo "==> perf gate (hot-path baselines, ±10% band: throughput may not"
-echo "    drop, SCPU crossings may not grow; re-baseline with make perf)"
+echo "==> perf gate (every committed BENCH_*.json regenerated and compared"
+echo "    byte for byte; re-baseline with make perf)"
 PYTHONPATH=src python -m repro.cli perf --check
 
 echo "==> contract gate (service RC suites + multi-tenant overload bench)"

@@ -316,55 +316,37 @@ def cmd_attest(args) -> int:
 def cmd_shard_bench(args) -> int:
     """Virtual-time scaling benchmark of the sharded group-commit front-end.
 
-    Builds in-memory sharded stores (no directory needed), drives a
-    closed-loop write workload through the queueing simulator, and prints
-    throughput for 1..N shards plus the group-commit gain at N shards.
-    Deterministic virtual-time results — the same table the
-    ``benchmarks/test_sharded_scaling.py`` suite asserts on.
+    Prints :func:`repro.perf.bench_shard` as a table: closed-loop write
+    throughput of in-memory sharded stores (no directory needed) for
+    1..N shards, plus the group-commit gain at N shards.  Deterministic
+    virtual-time results — at the defaults, the committed
+    ``benchmarks/BENCH_shard.json``.
     """
-    from repro import demo_keyring
-    from repro.sim.driver import (SimulationConfig, make_sharded_sim_store,
-                                  run_sharded_closed_loop)
-    from repro.sim.workload import ClosedLoopArrivals, FixedSize
+    from repro import perf
 
-    if args.shards < 1 or args.records < 1 or args.batch < 1:
-        print("shard-bench: --shards, --records and --batch must be >= 1",
-              file=sys.stderr)
+    if (args.shards < 1 or args.records < 1 or args.batch < 1
+            or args.workers < 1 or args.record_size < 0):
+        print("shard-bench: --shards, --records, --batch and --workers "
+              "must be >= 1, --record-size >= 0", file=sys.stderr)
         return 2
 
-    config = SimulationConfig(workers=args.workers, host_count=8,
-                              disk_count=16)
-
-    def rate(shards: int, batch: int) -> float:
-        simstore = make_sharded_sim_store(shards, config=config,
-                                          keyring=demo_keyring())
-        metrics = run_sharded_closed_loop(
-            simstore, ClosedLoopArrivals(FixedSize(args.record_size),
-                                         args.records),
-            config=config, batch_size=batch)
-        return metrics.throughput("write")
-
-    counts, rates = [], []
-    n = 1
-    while n <= args.shards:
-        counts.append(n)
-        rates.append(rate(n, 1))
-        n *= 2
-    if counts[-1] != args.shards:
-        counts.append(args.shards)
-        rates.append(rate(args.shards, 1))
-    batched = rate(args.shards, args.batch)
-
-    rows = [[str(c), f"{r:.0f}", f"{r / rates[0]:.2f}x"]
-            for c, r in zip(counts, rates)]
-    rows.append([f"{args.shards} (batch={args.batch})", f"{batched:.0f}",
-                 f"{batched / rates[0]:.2f}x"])
+    bench = perf.bench_shard(shards=args.shards, batch=args.batch,
+                             records=args.records,
+                             record_size=args.record_size,
+                             workers=args.workers)
+    points, headline = bench["points"], bench["headline"]
+    base = points[0]["writes_per_sec"]
+    rows = [[str(p["shards"]), f"{p['writes_per_sec']:.0f}",
+             f"{p['writes_per_sec'] / base:.2f}x"] for p in points]
+    rows.append([f"{args.shards} (batch={args.batch})",
+                 f"{headline['writes_per_sec']:.0f}",
+                 f"{headline['speedup_vs_1shard']:.2f}x"])
     print(format_table(
         ["shards", "writes/s", "vs 1 shard"], rows,
         title=f"Sharded write throughput — {args.record_size}B records, "
               f"virtual time"))
     print(f"\ngroup-commit gain at {args.shards} shards: "
-          f"{batched / rates[-1]:.2f}x over per-record writes")
+          f"{headline['group_commit_gain']:.2f}x over per-record writes")
     return 0
 
 
@@ -810,8 +792,8 @@ def cmd_tenant_bench(args) -> int:
     from repro.service import ServiceRequest, TenantConfig, WormService
     from repro.sim.workload import FixedSize, MultiTenantArrivals
 
-    if args.shards < 1 or args.tenants < 1:
-        print("tenant-bench: --shards and --tenants must be >= 1",
+    if args.shards < 1 or args.tenants < 1 or args.days < 1:
+        print("tenant-bench: --shards, --tenants and --days must be >= 1",
               file=sys.stderr)
         return 2
 
@@ -1028,90 +1010,27 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def cmd_auth_ablation(args) -> int:
-    """Three-way authentication-scheme ablation → committed artifacts.
-
-    Sweeps every (or each ``--scheme``-selected) backend through
-    :func:`repro.sim.ablation.run_auth_ablation` and writes one
-    ``BENCH_ablation_auth_<scheme>.json`` per scheme.  The sweep runs in
-    virtual time on demo 512-bit keys, so the artifacts are
-    deterministic across machines — which is what makes ``--check``
-    (regenerate and diff against the committed files, exit 2 on drift)
-    a meaningful CI gate.
-    """
-    from repro import demo_keyring
-    from repro.sim.ablation import run_auth_ablation
-
-    schemes = args.scheme or ["windows", "merkle", "accumulator"]
-    sizes = [int(part) for part in args.sizes.split(",") if part.strip()]
-    keyring = demo_keyring()
-    out_dir = Path(args.out_dir)
-    drifted = []
-    rows = []
-    for scheme in schemes:
-        sweep = run_auth_ablation(scheme, keyring, sizes=sizes)
-        rendered = json.dumps(sweep, indent=2, sort_keys=True) + "\n"
-        path = out_dir / f"BENCH_ablation_auth_{scheme}.json"
-        if args.check:
-            if not path.exists() or path.read_text() != rendered:
-                drifted.append(path.name)
-        else:
-            path.write_text(rendered)
-        for point in sweep["points"]:
-            rows.append([
-                scheme, str(point["store_size"]),
-                f"{point['scpu_seconds_per_write'] * 1e6:.0f}",
-                f"{point['read_seconds'] * 1e3:.2f}",
-                str(int(point["proof_bytes"])),
-                str(int(point["state_bytes"])),
-            ])
-    print(format_table(
-        ["scheme", "store size", "SCPU µs/write", "read ms", "proof B",
-         "state B"],
-        rows, title="Authentication-scheme ablation (virtual time)"))
-    if args.check:
-        if drifted:
-            print(f"DRIFT: {', '.join(drifted)} differ from the cost "
-                  f"model; regenerate with `make auth-ablation`",
-                  file=sys.stderr)
-            return 2
-        print(f"committed artifacts match the cost model "
-              f"({len(schemes)} scheme(s))")
-    else:
-        print(f"wrote {len(schemes)} artifact(s) to {out_dir}/")
-    return 0
-
-
 def cmd_perf(args) -> int:
-    """Regenerate (or band-check) the hot-path perf baselines.
+    """Regenerate (or check) every committed ``BENCH_*.json``.
 
     Runs :mod:`repro.perf` — the shard-bench scaling table, a reduced
-    Figure 1 sweep, and the read+verify path — and writes
-    ``BENCH_shard.json`` / ``BENCH_figure1.json`` / ``BENCH_read.json``.
-    All numbers are virtual-time and deterministic, so ``--check``
-    (regenerate and compare with a ±10% tolerance band: throughput may
-    not drop, crossings may not grow; exit 2 on regression) is a
-    meaningful CI gate.
+    Figure 1 sweep, the read+verify path and the three-way
+    authentication-scheme ablation — and writes the six artifacts.  All
+    numbers are virtual-time and deterministic, so ``--check``
+    regenerates them and compares byte for byte; any difference, better
+    or worse, exits 2.
     """
     from repro import perf
 
     out_dir = Path(args.out_dir)
     if args.check:
-        results = perf.check_baselines(out_dir, tolerance=args.tolerance)
-        failed = False
-        for name in perf.BASELINE_NAMES:
-            problems = results.get(name, [])
-            if problems:
-                failed = True
-                print(f"REGRESSION: {name}", file=sys.stderr)
-                for problem in problems:
-                    print(f"  {problem}", file=sys.stderr)
-            else:
-                print(f"{name}: within the ±{args.tolerance:.0%} band")
-        if failed:
-            print("perf gate failed; if the change is intentional, "
-                  "re-baseline with `make perf`", file=sys.stderr)
+        drifted = perf.check_baselines(out_dir)
+        if drifted:
+            print(f"DRIFT: {', '.join(drifted)} missing or different from "
+                  f"a fresh run; regenerate with `make perf` and review "
+                  f"`git diff benchmarks/`", file=sys.stderr)
             return 2
+        print(f"all {len(perf.BASELINE_NAMES)} artifacts match a fresh run")
         return 0
     written = perf.write_baselines(out_dir)
     data = json.loads((out_dir / "BENCH_shard.json").read_text())
@@ -1329,35 +1248,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-deferred", type=int, default=256)
     p.set_defaults(func=cmd_serve)
 
-    p = sub.add_parser("auth-ablation",
-                       help="windows/merkle/accumulator ablation sweep; "
-                            "writes BENCH_ablation_auth_<scheme>.json "
-                            "(in-memory, virtual time, deterministic)")
-    p.add_argument("--scheme", action="append", default=None,
-                   choices=["windows", "merkle", "accumulator"],
-                   help="sweep only this backend (repeatable; default all)")
-    p.add_argument("--sizes", default="32,128,512",
-                   help="comma-separated prefill sizes per sample point")
+    p = sub.add_parser("perf",
+                       help="every committed BENCH_*.json: shard scaling, "
+                            "figure-1 subset, read path, auth-scheme "
+                            "ablation (virtual time, deterministic)")
     p.add_argument("--out-dir", default="benchmarks",
                    help="directory receiving the BENCH_*.json artifacts")
     p.add_argument("--check", action="store_true",
-                   help="regenerate and diff against the committed "
-                        "artifacts instead of writing; exit 2 on drift")
-    p.set_defaults(func=cmd_auth_ablation)
-
-    p = sub.add_parser("perf",
-                       help="hot-path perf baselines: shard scaling, "
-                            "figure-1 subset, read path; writes "
-                            "BENCH_shard/figure1/read.json "
-                            "(virtual time, deterministic)")
-    p.add_argument("--out-dir", default="benchmarks",
-                   help="directory receiving the BENCH_*.json baselines")
-    p.add_argument("--check", action="store_true",
-                   help="regenerate and band-compare against the committed "
-                        "baselines instead of writing; exit 2 on regression")
-    p.add_argument("--tolerance", type=float, default=0.10,
-                   help="relative regression band for --check "
-                        "(default 0.10 = ±10%%)")
+                   help="regenerate and compare byte for byte against the "
+                        "committed artifacts instead of writing; exit 2 "
+                        "on any difference")
     p.set_defaults(func=cmd_perf)
 
     p = sub.add_parser("attest",

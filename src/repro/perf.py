@@ -1,8 +1,7 @@
-"""Deterministic hot-path performance harness → committed baselines.
+"""Deterministic virtual-time benchmarks → every committed ``BENCH_*.json``.
 
-The hot-path campaign (ROADMAP W009 worklist) needs its wins *measured
-and pinned*, not asserted in prose.  This module regenerates three
-baseline artifacts, all in virtual time so they are bit-comparable
+This module is the one generator and the one gate for the artifacts
+under ``benchmarks/``, all in virtual time so they are byte-identical
 across machines:
 
 * ``BENCH_shard.json`` — the sharded group-commit scaling table
@@ -11,45 +10,45 @@ across machines:
 * ``BENCH_figure1.json`` — a reduced sweep of the paper's Figure 1
   modes under the 1024/512-bit paper parameters;
 * ``BENCH_read.json`` — the read+client-verify path, including the
-  client's verified-signature memo hit rate.
+  client's verified-signature memo hit rate;
+* ``BENCH_ablation_auth_{windows,merkle,accumulator}.json`` — the
+  authentication-scheme ablation (:mod:`repro.sim.ablation`) on demo
+  keys.
 
-``check_baselines`` compares a regenerated run against the committed
-files with a ±10 % tolerance band instead of an exact diff: numeric
-leaves whose key ends in ``_per_sec``, ``_gain``, ``_speedup`` or
-``_hits`` are throughput-like (a drop of more than the tolerance is a
-regression); every other numeric leaf is cost-like (crossings, bytes,
-misses — growth beyond the tolerance is a regression).  Structure and
-non-numeric leaves must match exactly.  Improvements always pass;
-re-baseline with ``make perf`` when they should become the new floor.
+``write_baselines`` (``make perf``) rewrites them.  ``check_baselines``
+(``repro.cli perf --check``, a ``scripts/check.sh`` stage) regenerates
+each artifact, renders it the same way and compares byte for byte.  No
+virtual-time number is noisy, so there is no tolerance: a change that
+moves any number, up or down, commits the regenerated file, and
+``git diff benchmarks/`` shows the move.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Tuple
+from typing import Any, Dict, List, Tuple
 
 __all__ = [
     "BASELINE_NAMES",
-    "TOLERANCE",
     "bench_shard",
     "bench_figure1",
     "bench_read",
     "generate_all",
     "check_baselines",
+    "write_baselines",
 ]
 
+#: Authentication schemes and prefill sizes of the committed ablation.
+_AUTH_SCHEMES = ("windows", "merkle", "accumulator")
+_AUTH_SIZES = (32, 128, 512)
+
 #: The committed artifact names, in regeneration order.
-BASELINE_NAMES = ("BENCH_shard.json", "BENCH_figure1.json",
-                  "BENCH_read.json")
-
-#: Relative regression band: throughput may not drop, nor costs grow,
-#: by more than this fraction of the committed value.
-TOLERANCE = 0.10
-
-#: Numeric keys with these suffixes are higher-is-better; all other
-#: numeric leaves are treated as costs (lower is better).
-_HIGHER_IS_BETTER_SUFFIXES = ("_per_sec", "_gain", "_speedup", "_hits")
+BASELINE_NAMES = (("BENCH_shard.json", "BENCH_figure1.json",
+                   "BENCH_read.json")
+                  + tuple(f"BENCH_ablation_auth_{scheme}.json"
+                          for scheme in _AUTH_SCHEMES))
 
 
 # ------------------------------------------------------------- crossing totals
@@ -129,26 +128,22 @@ _FIGURE1_SIZES = (1024, 65536)
 
 
 def bench_figure1(writes: int = 120) -> Dict[str, Any]:
-    """Reduced Figure 1 sweep under the paper's 1024/512-bit parameters."""
-    from repro.crypto.hmac_scheme import HmacScheme
-    from repro.crypto.keys import SigningKey
-    from repro.hardware.scpu import ScpuKeyring
+    """Reduced Figure 1 sweep under the paper's 1024/512-bit parameters.
+
+    Charges depend only on key sizes, so one keyring serves every run;
+    each store gets its own shallow copy, so burst-key rotation in one
+    run cannot reach another.
+    """
+    from repro import demo_keyring
     from repro.sim.driver import make_sim_store, run_closed_loop
     from repro.sim.workload import ClosedLoopArrivals, FixedSize
 
-    def paper_keyring() -> ScpuKeyring:
-        return ScpuKeyring(
-            s_key=SigningKey.generate(1024, "s"),
-            d_key=SigningKey.generate(1024, "d"),
-            burst_key=SigningKey.generate(512, "burst"),
-            hmac=HmacScheme(),
-        )
-
+    keyring = demo_keyring(strong_bits=1024)
     series: Dict[str, Any] = {}
     for label, kwargs in _FIGURE1_MODES:
         points = []
         for size in _FIGURE1_SIZES:
-            simstore = make_sim_store(keyring=paper_keyring())
+            simstore = make_sim_store(keyring=dataclasses.replace(keyring))
             metrics = run_closed_loop(
                 simstore,
                 ClosedLoopArrivals(FixedSize(size), writes),
@@ -208,94 +203,43 @@ def bench_read(records: int = 24, reads_per_record: int = 6,
 
 
 def generate_all() -> Dict[str, Dict[str, Any]]:
-    """Every baseline, keyed by artifact filename."""
-    return {
+    """Every committed artifact, keyed by filename in ``BASELINE_NAMES``."""
+    from repro import demo_keyring
+    from repro.sim.ablation import run_auth_ablation
+
+    artifacts = {
         "BENCH_shard.json": bench_shard(),
         "BENCH_figure1.json": bench_figure1(),
         "BENCH_read.json": bench_read(),
     }
+    keyring = demo_keyring()
+    for scheme in _AUTH_SCHEMES:
+        artifacts[f"BENCH_ablation_auth_{scheme}.json"] = run_auth_ablation(
+            scheme, keyring, sizes=_AUTH_SIZES)
+    return artifacts
 
 
 # ------------------------------------------------------------- the perf gate
 
-def _leaves(value: Any, path: str = "") -> Iterator[Tuple[str, Any]]:
-    if isinstance(value, dict):
-        for key in sorted(value):
-            yield from _leaves(value[key], f"{path}.{key}" if path else key)
-    elif isinstance(value, list):
-        for index, item in enumerate(value):
-            yield from _leaves(item, f"{path}[{index}]")
-    else:
-        yield path, value
+def _render(data: Dict[str, Any]) -> str:
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-def _leaf_key(path: str) -> str:
-    """The final dict key of a leaf path (list indices stripped)."""
-    tail = path.rsplit(".", 1)[-1]
-    return tail.split("[", 1)[0]
-
-
-def compare_baseline(committed: Dict[str, Any], fresh: Dict[str, Any],
-                     tolerance: float = TOLERANCE) -> List[str]:
-    """Tolerance-banded comparison; returns human-readable violations."""
-    committed_leaves = dict(_leaves(committed))
-    fresh_leaves = dict(_leaves(fresh))
-    problems: List[str] = []
-    for path in sorted(set(committed_leaves) | set(fresh_leaves)):
-        if path not in fresh_leaves:
-            problems.append(f"{path}: missing from regenerated run")
-            continue
-        if path not in committed_leaves:
-            problems.append(f"{path}: not in committed baseline")
-            continue
-        old, new = committed_leaves[path], fresh_leaves[path]
-        numeric = (isinstance(old, (int, float))
-                   and isinstance(new, (int, float))
-                   and not isinstance(old, bool)
-                   and not isinstance(new, bool))
-        if not numeric:
-            if old != new:
-                problems.append(f"{path}: {old!r} != {new!r}")
-            continue
-        if _leaf_key(path).endswith(_HIGHER_IS_BETTER_SUFFIXES):
-            floor = old * (1.0 - tolerance)
-            if new < floor:
-                problems.append(
-                    f"{path}: {new} regressed below {floor:.1f} "
-                    f"(committed {old}, -{tolerance:.0%} band)")
-        else:
-            ceiling = old * (1.0 + tolerance)
-            if new > ceiling:
-                problems.append(
-                    f"{path}: {new} grew past {ceiling:.1f} "
-                    f"(committed {old}, +{tolerance:.0%} band)")
-    return problems
-
-
-def check_baselines(out_dir: Path,
-                    tolerance: float = TOLERANCE
-                    ) -> Dict[str, List[str]]:
-    """Regenerate every baseline and band-compare against *out_dir*.
-
-    Returns ``{artifact name: [violations]}`` — empty lists mean the
-    artifact passed.
-    """
-    results: Dict[str, List[str]] = {}
-    for name, fresh in generate_all().items():
+def check_baselines(out_dir: Path) -> List[str]:
+    """Regenerate every artifact; the names missing or stale in *out_dir*."""
+    artifacts = generate_all()
+    drifted = []
+    for name in BASELINE_NAMES:
         path = out_dir / name
-        if not path.exists():
-            results[name] = ["baseline file missing; run `make perf`"]
-            continue
-        committed = json.loads(path.read_text())
-        results[name] = compare_baseline(committed, fresh, tolerance)
-    return results
+        if not path.exists() or path.read_text() != _render(artifacts[name]):
+            drifted.append(name)
+    return drifted
 
 
 def write_baselines(out_dir: Path) -> List[str]:
-    """Regenerate and write every baseline; returns the filenames."""
+    """Regenerate and write every artifact; returns the filenames."""
     written = []
     for name, data in generate_all().items():
-        rendered = json.dumps(data, indent=2, sort_keys=True) + "\n"
-        (out_dir / name).write_text(rendered)
+        (out_dir / name).write_text(_render(data))
         written.append(name)
     return written

@@ -1,10 +1,10 @@
 """Three-way authentication-scheme ablation (DESIGN §12, PAPER §2.3/§4.1).
 
 One measurement core shared by the committed benchmark suite
-(``benchmarks/test_ablation_auth_schemes.py``) and the
-``repro.cli auth-ablation`` artifact generator, so the numbers in
-``BENCH_ablation_auth_<scheme>.json`` and the assertions in the tests
-come from the same code path.
+(``benchmarks/test_ablation_auth_schemes.py``) and :mod:`repro.perf`,
+which generates and gates ``BENCH_ablation_auth_<scheme>.json``, so the
+numbers in those artifacts and the assertions in the tests come from
+the same code path.
 
 For each scheme selectable via ``StoreConfig.auth_scheme`` the ablation
 grows a store to several sizes and samples, at each size:

@@ -125,14 +125,30 @@ class ShardedSimStore:
     devices: List[Dict[str, TimedDevice]]  # per shard: scpu/host/disk
     fault_plans: List[Optional[FaultPlan]] = field(default_factory=list)
 
-    def replay(self, shard_id: int, costs: Dict[str, float],
-               label: str = "op"):
+    def replay(self, shard_id: int, costs: Dict[str, float]):
         """Process-generator: replay one cost breakdown on one shard."""
         triple = self.devices[shard_id]
         for name in ("host", "disk", "scpu"):
             cost = costs.get(name, 0.0)
             if cost:
                 yield from triple[name].use(cost)
+
+    def replay_commit(self, receipts: Iterable[ShardedWriteReceipt]):
+        """Process-generator: replay one commit's receipts.
+
+        A commit is one flush per shard touched: each shard's summed
+        receipt costs replay on that shard's devices, the shards in
+        parallel.
+        """
+        flush_costs: Dict[int, Dict[str, float]] = {}
+        for receipt in receipts:
+            shard_costs = flush_costs.setdefault(receipt.shard_id, {})
+            for device, cost in receipt.costs.items():
+                shard_costs[device] = shard_costs.get(device, 0.0) + cost
+        replays = [self.sim.process(self.replay(shard_id, costs))
+                   for shard_id, costs in flush_costs.items()]
+        if replays:
+            yield all_of(self.sim, replays)
 
     def utilization(self, elapsed: float) -> List[Dict[str, float]]:
         return [{name: dev.utilization(elapsed)
@@ -234,17 +250,7 @@ def run_sharded_closed_loop(shardstore: ShardedSimStore,
                 retention_seconds=max(
                     max(r.retention for r in batch), 1.0),
                 **write_kwargs)
-            # One flush per shard touched: replay them in parallel.
-            flush_costs: Dict[int, Dict[str, float]] = {}
-            for receipt in receipts:
-                shard_costs = flush_costs.setdefault(receipt.shard_id, {})
-                for device, cost in receipt.costs.items():
-                    shard_costs[device] = shard_costs.get(device, 0.0) + cost
-            replays = [sim.process(shardstore.replay(shard_id, costs,
-                                                     label="write"))
-                       for shard_id, costs in flush_costs.items()]
-            if replays:
-                yield all_of(sim, replays)
+            yield from shardstore.replay_commit(receipts)
             for request, receipt in zip(batch, receipts):
                 metrics.record(RequestSample(
                     kind="write", arrival=arrival, start=arrival,
@@ -304,22 +310,6 @@ def run_sharded_chaos_loop(shardstore: ShardedSimStore,
     queue = list(requests)
     queue.reverse()  # pop() from the end in original order
 
-    def replay_flush(flushed: List[ShardedWriteReceipt], arrival: float):
-        flush_costs: Dict[int, Dict[str, float]] = {}
-        for receipt in flushed:
-            shard_costs = flush_costs.setdefault(receipt.shard_id, {})
-            for device, cost in receipt.costs.items():
-                shard_costs[device] = shard_costs.get(device, 0.0) + cost
-        replays = [sim.process(shardstore.replay(shard_id, costs,
-                                                 label="write"))
-                   for shard_id, costs in flush_costs.items()]
-        if replays:
-            yield all_of(sim, replays)
-        for receipt in flushed:
-            metrics.record(RequestSample(
-                kind="write", arrival=arrival, start=arrival,
-                finish=sim.now))
-
     def worker():
         while queue:
             request = queue.pop()
@@ -336,7 +326,11 @@ def run_sharded_chaos_loop(shardstore: ShardedSimStore,
                 return
             if flushed:
                 receipts.extend(flushed)
-                yield from replay_flush(flushed, arrival)
+                yield from shardstore.replay_commit(flushed)
+                for _ in flushed:
+                    metrics.record(RequestSample(
+                        kind="write", arrival=arrival, start=arrival,
+                        finish=sim.now))
 
     for _ in range(config.workers):
         sim.process(worker())

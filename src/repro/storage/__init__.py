@@ -12,7 +12,6 @@ from repro.storage.journal import (
     JournalEntry,
     MemoryIntentJournal,
 )
-from repro.storage.log_store import AppendLogBlockStore
 from repro.storage.record import RecordAttributes, RecordDescriptor
 from repro.storage.vrd import VirtualRecordDescriptor
 from repro.storage.vrdt import DeletionWindow, VrdTable
@@ -22,7 +21,6 @@ __all__ = [
     "DirectoryBlockStore",
     "MemoryBlockStore",
     "MissingRecordError",
-    "AppendLogBlockStore",
     "FileIntentJournal",
     "IntentJournal",
     "JournalEntry",

@@ -193,3 +193,33 @@ class TestFaultsDemo:
         out = capsys.readouterr().out
         assert "no accepted record lost" in out
         assert "degraded:   shards [1]" in out
+
+
+class TestShardBench:
+    def test_defaults_print_the_committed_headline(self, capsys):
+        committed = Path(__file__).resolve().parent.parent / "benchmarks"
+        headline = json.loads(
+            (committed / "BENCH_shard.json").read_text())["headline"]
+        assert main(["shard-bench"]) == 0
+        out = capsys.readouterr().out
+        cells = [cell.strip() for cell in out.splitlines()[-3].split("|")]
+        assert cells == ["4 (batch=8)", f"{headline['writes_per_sec']:.0f}",
+                         f"{headline['speedup_vs_1shard']:.2f}x"]
+        assert out.splitlines()[-1] == (
+            f"group-commit gain at 4 shards: "
+            f"{headline['group_commit_gain']:.2f}x over per-record writes")
+
+
+class TestDrillArguments:
+    @pytest.mark.parametrize("argv", [
+        ["shard-bench", "--workers", "0"],
+        ["shard-bench", "--record-size", "-1"],
+        ["tenant-bench", "--days", "0"],
+    ], ids=["shard-bench-workers", "shard-bench-record-size",
+            "tenant-bench-days"])
+    def test_invalid_argument_is_a_usage_error(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"{argv[0]}: ")
+        assert "must be >=" in captured.err
+        assert captured.out == ""

@@ -1,77 +1,80 @@
-"""The perf gate's tolerance-band comparison (no benches run here).
+"""The perf gate: every committed BENCH_*.json equals a fresh run.
 
-``compare_baseline`` is the function scripts/check.sh trusts to catch
-hot-path regressions, so its direction convention is pinned by tests:
-``*_per_sec``/``_gain``/``_speedup``/``_hits`` leaves are throughput-like
-(may not drop), every other numeric leaf is cost-like (may not grow),
-improvements always pass, and structural drift is an exact-match error.
+``check_baselines`` is the function scripts/check.sh trusts to keep the
+committed artifacts in step with the code, so its one rule is pinned
+here: regenerate, render, compare byte for byte.  Any changed leaf is
+drift — a workload parameter, a regression or an improvement — and so
+is a missing file.  ``generate_all`` is replaced by small fixed
+artifacts, so no bench runs here.
 """
+
+import copy
+from pathlib import Path
 
 import pytest
 
-from repro.perf import TOLERANCE, compare_baseline
+from repro import perf
+from repro.cli import main
+
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+
+SHARD = {
+    "workload": {"records": 240, "record_size": 1024, "workers": 64},
+    "points": [{"shards": 1, "batch": 1, "writes_per_sec": 1842.9,
+                "scpu_crossings": 722}],
+    "headline": {"shards": 4, "batch": 8, "writes_per_sec": 29789.0,
+                 "scpu_crossings": 98},
+}
 
 
-def test_identical_baselines_pass():
-    data = {"headline": {"writes_per_sec": 100.0, "scpu_crossings": 10}}
-    assert compare_baseline(data, data) == []
+@pytest.fixture
+def fresh(monkeypatch):
+    """What the patched ``generate_all`` returns; edit it to drift."""
+    artifacts = {name: {"artifact": name} for name in perf.BASELINE_NAMES}
+    artifacts["BENCH_shard.json"] = copy.deepcopy(SHARD)
+    monkeypatch.setattr(perf, "generate_all",
+                        lambda: copy.deepcopy(artifacts))
+    return artifacts
 
 
-def test_throughput_drop_beyond_band_fails():
-    old = {"writes_per_sec": 100.0}
-    assert compare_baseline(old, {"writes_per_sec": 91.0}) == []
-    problems = compare_baseline(old, {"writes_per_sec": 89.0})
-    assert len(problems) == 1
-    assert "regressed below" in problems[0]
+@pytest.fixture
+def committed(tmp_path, fresh):
+    perf.write_baselines(tmp_path)
+    return tmp_path
 
 
-def test_cost_growth_beyond_band_fails():
-    old = {"scpu_crossings": 100}
-    assert compare_baseline(old, {"scpu_crossings": 110}) == []
-    problems = compare_baseline(old, {"scpu_crossings": 112})
-    assert len(problems) == 1
-    assert "grew past" in problems[0]
+def test_identical_baselines_pass(committed, capsys):
+    assert perf.check_baselines(committed) == []
+    assert main(["perf", "--check", "--out-dir", str(committed)]) == 0
+    assert "all 6 artifacts match a fresh run" in capsys.readouterr().out
 
 
-def test_improvements_always_pass():
-    old = {"writes_per_sec": 100.0, "scpu_crossings": 100,
-           "sig_cache_hits": 50}
-    new = {"writes_per_sec": 500.0, "scpu_crossings": 3,
-           "sig_cache_hits": 400}
-    assert compare_baseline(old, new) == []
+@pytest.mark.parametrize("section, key, change", [
+    ("workload", "records", lambda value: 220),
+    ("headline", "writes_per_sec", lambda value: value * 0.91),
+    ("headline", "writes_per_sec", lambda value: value * 5),
+], ids=["workload-parameter", "throughput-drop", "improvement"])
+def test_one_leaf_change_is_drift(committed, fresh, section, key, change):
+    leaves = fresh["BENCH_shard.json"][section]
+    leaves[key] = change(leaves[key])
+    assert perf.check_baselines(committed) == ["BENCH_shard.json"]
 
 
-def test_direction_follows_leaf_key_not_path():
-    # A cost leaf nested under a throughput-sounding parent stays a cost.
-    old = {"group_commit": {"scpu_bytes_crossed": 100}}
-    new = {"group_commit": {"scpu_bytes_crossed": 120}}
-    assert compare_baseline(old, new)
-    # And list indices are stripped before the suffix check.
-    old = {"points": [{"records_per_sec": 100.0}]}
-    new = {"points": [{"records_per_sec": 80.0}]}
-    assert compare_baseline(old, new)
+def test_edited_committed_file_fails_the_cli_gate(committed, capsys):
+    path = committed / "BENCH_shard.json"
+    path.write_text(path.read_text().replace('"records": 240',
+                                             '"records": 220'))
+    assert main(["perf", "--check", "--out-dir", str(committed)]) == 2
+    err = capsys.readouterr().err
+    assert "BENCH_shard.json" in err and "make perf" in err
 
 
-def test_structural_drift_is_reported():
-    old = {"points": [{"shards": 1}], "headline": {"batch": 8}}
-    new = {"points": [{"shards": 1}, {"shards": 2}], "headline": {"batch": 8}}
-    problems = compare_baseline(old, new)
-    assert any("not in committed baseline" in p for p in problems)
-    problems = compare_baseline(new, old)
-    assert any("missing from regenerated run" in p for p in problems)
+def test_missing_file_is_drift(committed):
+    (committed / "BENCH_read.json").unlink()
+    assert perf.check_baselines(committed) == ["BENCH_read.json"]
 
 
-def test_non_numeric_leaves_must_match_exactly():
-    old = {"workload": {"mode": "strong"}}
-    new = {"workload": {"mode": "weak"}}
-    problems = compare_baseline(old, new)
-    assert problems and "!=" in problems[0]
-    # bool is not "numeric within 10%".
-    assert compare_baseline({"flag": True}, {"flag": False})
-
-
-def test_custom_tolerance_widens_the_band():
-    old = {"writes_per_sec": 100.0}
-    new = {"writes_per_sec": 75.0}
-    assert compare_baseline(old, new, tolerance=TOLERANCE)
-    assert compare_baseline(old, new, tolerance=0.30) == []
+def test_every_committed_artifact_is_gated():
+    on_disk = {path.name for path in BENCHMARKS.glob("BENCH_*.json")
+               if not path.name.endswith("_telemetry.json")}
+    assert set(perf.BASELINE_NAMES) == on_disk
