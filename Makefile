@@ -50,7 +50,7 @@ recover:
 	PYTHONPATH=src python -m repro.cli recover --records 200 --corrupt
 
 # Every committed virtual-time artifact: benchmarks/BENCH_shard.json,
-# BENCH_figure1.json, BENCH_read.json and
+# BENCH_figure1.json, BENCH_read.json, BENCH_read_granular.json and
 # BENCH_ablation_auth_{windows,merkle,accumulator}.json.  The numbers are
 # deterministic, so scripts/check.sh regenerates them and compares byte
 # for byte.  Run this to re-baseline after an intentional change, and

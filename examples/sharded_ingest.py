@@ -48,7 +48,7 @@ def main() -> None:
     # 4. One client verifies reads from every shard.
     for receipt in (receipts[0], receipts[5], receipts[15], per_record):
         verified = client.verify_read(store.read(receipt.locator),
-                                      receipt.sn)
+                                      receipt.locator)
         assert verified.status == "active"
     print(f"verified one read from each of {store.shard_count} shards "
           "with a single client")

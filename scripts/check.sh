@@ -67,7 +67,7 @@ echo "==> obs (snapshot schema + tenant accounting)"
 PYTHONPATH=src python -m repro.cli obs --shards 2 --records 48 \
     --check scripts/obs_schema.json >/dev/null
 
-echo "==> perf gate (every committed BENCH_*.json regenerated and compared"
+echo "==> perf gate (all 7 committed BENCH_*.json regenerated and compared"
 echo "    byte for byte; re-baseline with make perf)"
 PYTHONPATH=src python -m repro.cli perf --check
 

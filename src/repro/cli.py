@@ -396,7 +396,7 @@ def cmd_faults_demo(args) -> int:
     for receipt in result.receipts:
         try:
             read = store.read(receipt.locator)
-            verified = client.verify_read(read, receipt.sn)
+            verified = client.verify_read(read, receipt.locator)
             if verified.status != "active":
                 lost += 1
         except TamperedError:
@@ -670,15 +670,17 @@ def cmd_recover(args) -> int:
         store.advance_clocks(1.0)
         if chunks % 4 == 0:
             pump.pump()
-
-    if args.corrupt:
-        # The standby must have caught up before its disk starts lying,
-        # or DISCOVER fails for the mundane reason (no certificates).
-        for _ in range(200):
-            if pump.unacked_count == 0 and transport.in_flight == 0:
-                break
-            store.advance_clocks(2.0)
-            pump.pump()
+    # The kill loses the catalog tail, never the CA chain: a drill of a
+    # few batches has not shipped the certificates yet (or they are
+    # still in flight), so pump after the last batch until they land.
+    # With --corrupt the standby must catch up completely before its
+    # disk starts lying, so the lie is the only thing DISCOVER can see.
+    for _ in range(200):
+        caught_up = pump.unacked_count == 0 and transport.in_flight == 0
+        if replica.source_certificates and (caught_up or not args.corrupt):
+            break
+        store.advance_clocks(2.0)
+        pump.pump()
     shipped_tail = pump.unacked_count > 0 or transport.in_flight > 0
     del store, pump, transport  # the site is gone
 
@@ -1014,8 +1016,9 @@ def cmd_perf(args) -> int:
     """Regenerate (or check) every committed ``BENCH_*.json``.
 
     Runs :mod:`repro.perf` — the shard-bench scaling table, a reduced
-    Figure 1 sweep, the read+verify path and the three-way
-    authentication-scheme ablation — and writes the six artifacts.  All
+    Figure 1 sweep, the read+verify path, the record-granular read
+    against group size and the three-way authentication-scheme
+    ablation — and writes the seven artifacts.  All
     numbers are virtual-time and deterministic, so ``--check``
     regenerates them and compares byte for byte; any difference, better
     or worse, exits 2.
@@ -1063,6 +1066,27 @@ def cmd_report(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+
+def _at_least(minimum: float, kind=int, strict: bool = False):
+    """An argparse ``type=``: a *kind* number >= *minimum* (> if *strict*).
+
+    A value out of range is a usage error: argparse prints the usage
+    line and the rule, and exits 2.
+    """
+    rule = f"must be {'>' if strict else '>='} {minimum}"
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(  # wormlint: disable=W005 - argparse's usage-error type: exit 2 with the rule
+                f"invalid {kind.__name__} value: {text!r}") from None
+        if value < minimum or (strict and value == minimum):
+            raise argparse.ArgumentTypeError(f"{rule}, got {text}")  # wormlint: disable=W005 - argparse's usage-error type: exit 2 with the rule
+        return value
+
+    return parse
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -1151,7 +1175,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "loss (in-memory; no store directory needed)")
     p.add_argument("--shards", type=int, default=4)
     p.add_argument("--records", type=int, default=120)
-    p.add_argument("--record-size", type=int, default=512)
+    p.add_argument("--record-size", type=_at_least(0), default=512)
     p.add_argument("--fault-rate", type=float, default=0.08,
                    help="per-op transient fault probability per shard")
     p.add_argument("--tamper-after", type=int, default=12,
@@ -1166,7 +1190,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "accounting mismatch or schema violation)")
     p.add_argument("--shards", type=int, default=2)
     p.add_argument("--records", type=int, default=48)
-    p.add_argument("--record-size", type=int, default=512)
+    p.add_argument("--record-size", type=_at_least(0), default=512)
     p.add_argument("--fault-rate", type=float, default=0.05,
                    help="per-op transient fault probability per shard")
     p.add_argument("--tamper-after", type=int, default=0,
@@ -1210,7 +1234,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shards", type=int, default=2)
     p.add_argument("--tenants", type=int, default=3)
     p.add_argument("--days", type=int, default=1)
-    p.add_argument("--hour-seconds", type=float, default=2.0,
+    p.add_argument("--hour-seconds", type=_at_least(0, float, strict=True),
+                   default=2.0,
                    help="virtual seconds per diurnal 'hour' (compresses "
                         "the day; rates stay per-second)")
     p.add_argument("--night-rate", type=float, default=0.5)
@@ -1226,7 +1251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-deferred", type=int, default=48,
                    help="per-tenant deferred-backlog cap (beyond it: "
                         "429 backlog-full)")
-    p.add_argument("--record-size", type=int, default=256)
+    p.add_argument("--record-size", type=_at_least(0), default=256)
     p.add_argument("--skew", type=float, default=1.1,
                    help="Zipf skew of tenant popularity")
     p.add_argument("--users", type=int, default=1_000_000,
@@ -1240,7 +1265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("serve",
                        help="JSON-lines service transport on stdin/stdout "
                             "(in-memory demo store)")
-    p.add_argument("--shards", type=int, default=2)
+    p.add_argument("--shards", type=_at_least(1), default=2)
     p.add_argument("--tenants", default="default",
                    help="comma-separated tenant names")
     p.add_argument("--rate", type=float, default=100.0)
@@ -1250,8 +1275,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("perf",
                        help="every committed BENCH_*.json: shard scaling, "
-                            "figure-1 subset, read path, auth-scheme "
-                            "ablation (virtual time, deterministic)")
+                            "figure-1 subset, read path, granular reads, "
+                            "auth-scheme ablation (virtual time, "
+                            "deterministic)")
     p.add_argument("--out-dir", default="benchmarks",
                    help="directory receiving the BENCH_*.json artifacts")
     p.add_argument("--check", action="store_true",

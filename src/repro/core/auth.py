@@ -59,7 +59,6 @@ from repro.crypto.accumulator import (
     WitnessDirectory,
 )
 from repro.crypto.envelope import Purpose, SignedEnvelope
-from repro.crypto.hashing import ChainedHasher
 from repro.crypto.merkle import MerkleProof, MerkleTree
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (worm -> auth)
@@ -247,12 +246,15 @@ class AuthenticationScheme(abc.ABC):
 
     @classmethod
     def client_verify(cls, client: WormClient, result: ReadResult,
-                      requested_sn: int) -> VerifiedRead:
+                      requested_sn: int,
+                      record_index: Optional[int] = None) -> VerifiedRead:
         """Verify one of this scheme's proof objects on the client.
 
         Dispatched from :meth:`WormClient.verify_read` via the proof's
-        ``scheme`` discriminator.  The window scheme never lands here —
-        its five proofs are the client's native case analysis.
+        ``scheme`` discriminator; *record_index* is the record the
+        reader asked for (``None`` for a read by serial number).  The
+        window scheme never lands here — its five proofs are the
+        client's native case analysis.
         """
         raise VerificationError(
             f"unrecognized proof object: {result.proof!r}")
@@ -519,20 +521,24 @@ class MerkleScheme(AuthenticationScheme):
 
     @classmethod
     def client_verify(cls, client: WormClient, result: ReadResult,
-                      requested_sn: int) -> VerifiedRead:
+                      requested_sn: int,
+                      record_index: Optional[int] = None) -> VerifiedRead:
         proof = result.proof
         if isinstance(proof, MerkleMembershipProof):
-            if result.status != "active" or result.vrd is None:
-                raise VerificationError("membership proof without an active record")
             client._check_envelope(proof.signed_root, Purpose.MERKLE_ROOT,
                                    roles=("s",))
             client._check_fresh(proof.signed_root)
-            hasher = ChainedHasher()
-            for payload in result.records:
-                hasher.update(payload)
+            # The VRD and the served data check out against datasig
+            # first; the leaf then binds datasig's verified data hash,
+            # so no payload is hashed twice and one record of a VR
+            # proves membership as well as the whole VR does.
+            verified = client.verify_active(result, requested_sn,
+                                            record_index,
+                                            MerkleMembershipProof.kind)
+            assert result.vrd is not None
             expected_leaf = _merkle_leaf(
                 requested_sn, result.vrd.attr.canonical_bytes(),
-                hasher.digest())
+                bytes(result.vrd.datasig.field("data_hash")))
             if proof.leaf != expected_leaf:
                 raise VerificationError(
                     "Merkle leaf does not bind the returned record")
@@ -540,13 +546,7 @@ class MerkleScheme(AuthenticationScheme):
             if not MerkleTree.verify_static(proof.leaf, proof.path, root):
                 raise VerificationError(
                     "Merkle path does not reach the signed root")
-            client.verify_vrd(result.vrd, result.records)
-            weak = (result.vrd.metasig.scheme == "hmac"
-                    or client._trusted.get(result.vrd.metasig.key_fingerprint,
-                                           (None, ""))[1] == "burst")
-            return VerifiedRead(sn=requested_sn, status="active",
-                                proof_kind=MerkleMembershipProof.kind,
-                                data=result.data, weakly_signed=weak)
+            return verified
         if isinstance(proof, MerkleFrontierProof):
             client._check_envelope(proof.signed_root, Purpose.MERKLE_ROOT,
                                    roles=("s",))
@@ -708,11 +708,10 @@ class AccumulatorScheme(AuthenticationScheme):
 
     @classmethod
     def client_verify(cls, client: WormClient, result: ReadResult,
-                      requested_sn: int) -> VerifiedRead:
+                      requested_sn: int,
+                      record_index: Optional[int] = None) -> VerifiedRead:
         proof = result.proof
         if isinstance(proof, AccumulatorMembershipProof):
-            if result.status != "active" or result.vrd is None:
-                raise VerificationError("membership proof without an active record")
             signed = proof.signed_value
             client._check_envelope(signed, Purpose.ACCUMULATOR_VALUE,
                                    roles=("s",))
@@ -723,13 +722,8 @@ class AccumulatorScheme(AuthenticationScheme):
             if not verify_membership(proof.witness, prime, value, modulus):
                 raise VerificationError(
                     "accumulator witness does not prove membership of this SN")
-            client.verify_vrd(result.vrd, result.records)
-            weak = (result.vrd.metasig.scheme == "hmac"
-                    or client._trusted.get(result.vrd.metasig.key_fingerprint,
-                                           (None, ""))[1] == "burst")
-            return VerifiedRead(sn=requested_sn, status="active",
-                                proof_kind=AccumulatorMembershipProof.kind,
-                                data=result.data, weakly_signed=weak)
+            return client.verify_active(result, requested_sn, record_index,
+                                        AccumulatorMembershipProof.kind)
         if isinstance(proof, AccumulatorFrontierProof):
             signed = proof.signed_value
             client._check_envelope(signed, Purpose.ACCUMULATOR_VALUE,

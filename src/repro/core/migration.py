@@ -35,11 +35,12 @@ from typing import Dict, List, Tuple
 from repro.core.errors import MigrationError
 from repro.core.worm import StrongWormStore
 from repro.crypto.envelope import Purpose, SignedEnvelope
-from repro.crypto.hashing import ChainedHasher
+from repro.crypto.hashing import data_tree
 from repro.crypto.keys import Certificate, CertificateAuthority
 from repro.storage.vrd import VirtualRecordDescriptor
 
-__all__ = ["MigrationPackage", "MigrationReport", "export_package", "import_package"]
+__all__ = ["MigrationPackage", "MigrationReport", "export_package",
+           "import_package", "datasig_covers"]
 
 
 @dataclass(frozen=True)
@@ -169,12 +170,22 @@ def _verify_source_record(dest: StrongWormStore, vrd: VirtualRecordDescriptor,
     missing = [rd.key for rd in vrd.rdl if rd.key not in blocks]
     if missing:
         return f"payloads missing from package: {missing}"
-    hasher = ChainedHasher()
-    for rd in vrd.rdl:
-        hasher.update(blocks[rd.key])
-    dest.scpu.meter.charge(
-        "sha", dest.scpu.profile.sha_seconds(
-            sum(rd.length for rd in vrd.rdl), dest.scpu.hash_block_size))
-    if hasher.digest() != vrd.datasig.field("data_hash"):
+    if not datasig_covers(dest, vrd, blocks):
         return "record data does not match datasig"
     return None
+
+
+def datasig_covers(dest: StrongWormStore, vrd: VirtualRecordDescriptor,
+                   blocks: Dict[str, bytes]) -> bool:
+    """Do *blocks* hold the data *vrd*'s datasig signs?
+
+    The one data check of a record arriving from another store (a
+    migration package, a recovery replica): hash the RDL's blocks into
+    the VR's data tree, charge *dest*'s card the SHA of that pass, and
+    compare the root with the signed ``data_hash``.  Every RDL key must
+    be in *blocks*.
+    """
+    tree = data_tree([blocks[rd.key] for rd in vrd.rdl])
+    dest.scpu.meter.charge("sha", dest.scpu.profile.sha_seconds(
+        vrd.total_bytes + tree.node_bytes, dest.scpu.hash_block_size))
+    return tree.root == vrd.datasig.field("data_hash")

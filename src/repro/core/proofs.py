@@ -4,7 +4,9 @@ A read of serial number ``v`` yields exactly one of:
 
 * **active** — the VRD plus record data, checkable against metasig/datasig,
   together with the fresh ``S_s(SN_current)`` (so the client knows the SN
-  range that must be accounted for);
+  range that must be accounted for).  A read of one record of the VR
+  carries that record alone and its :class:`RecordPath` to the data
+  root ``datasig`` signs;
 * **deleted, individually proven** — the deletion proof ``S_d(v.SN)``;
 * **deleted, below the base** — ``S_s(SN_base)`` with ``v.SN < SN_base``;
 * **deleted, inside a compacted window** — the correlated signed
@@ -31,6 +33,7 @@ __all__ = [
     "BaseBoundProof",
     "DeletionWindowProof",
     "NeverAllocatedProof",
+    "RecordPath",
     "ReadResult",
 ]
 
@@ -87,13 +90,36 @@ class NeverAllocatedProof:
 
 
 @dataclass(frozen=True)
+class RecordPath:
+    """Where one served record sits in its VR's data tree.
+
+    ``index`` and ``count`` are the store's claims; the client checks
+    ``index`` against the one it asked for, and ``count`` is sealed into
+    the root ``datasig`` signs.  ``siblings`` runs from the leaf level
+    up and carries no sides: the client derives them from the index and
+    the count (:func:`repro.crypto.hashing.path_root`).
+    """
+
+    index: int
+    count: int
+    siblings: Tuple[bytes, ...] = ()
+
+    @property
+    def size_bytes(self) -> int:
+        """Serialized size: the siblings plus the 8-byte index and count."""
+        return sum(len(node) for node in self.siblings) + 16
+
+
+@dataclass(frozen=True)
 class ReadResult:
     """What the (untrusted) store returns for a read of one SN.
 
     ``status`` is ``"active"``, ``"deleted"`` or ``"never-allocated"``.
-    For active reads, ``vrd`` and ``records`` (one payload per RD in the
-    RDL) are set; in every case ``proof`` carries the construct(s) the
-    client must verify before believing the status.
+    For active reads, ``vrd`` and ``records`` are set: one payload per RD
+    in the RDL for a read by serial number, or — for a read by locator —
+    the one named record, with ``record_path`` locating it in the VR.
+    In every case ``proof`` carries the construct(s) the client must
+    verify before believing the status.
     """
 
     sn: int
@@ -101,8 +127,9 @@ class ReadResult:
     proof: object
     vrd: Optional[VirtualRecordDescriptor] = None
     records: Tuple[bytes, ...] = ()
+    record_path: Optional[RecordPath] = None
 
     @property
     def data(self) -> bytes:
-        """Concatenated record payloads (convenience for single-record VRs)."""
+        """Concatenated record payloads (the one record of a locator read)."""
         return b"".join(self.records)

@@ -25,7 +25,8 @@ multi-record VR (0 for unbatched writes).
 Verification is unchanged — and that is the point.  A client bootstrapped
 by :meth:`ShardedWormStore.make_client` holds the union of the shards'
 certified keys; a read of ``locator`` is served by shard ``shard_id``
-with that shard's ordinary proofs and is verified with the ordinary
+with that shard's ordinary proofs — the one record plus its path in the
+VR's data tree — and is verified with the ordinary
 :meth:`~repro.core.client.WormClient.verify_read`.  Per-shard
 verification stays O(1) under partitioning: no cross-shard structure
 exists for an insider to splice, and tampering inside one shard is
@@ -647,32 +648,29 @@ class ShardedWormStore:
     # ------------------------------------------------------------------- reads
 
     def read(self, locator: LocatorLike) -> ReadResult:
-        """Serve a read (with proof) from the owning shard.
+        """Serve the record *locator* names, with its proof, from its shard.
 
-        The result is the shard's ordinary :class:`ReadResult`; verify it
-        with ``client.verify_read(result, locator.sn)`` exactly as for a
-        single store.
+        The result is the shard's ordinary :class:`ReadResult` for one
+        record: its payload and its path in the VR's data tree.  Verify
+        it with ``client.verify_read(result, locator)``; the whole VR
+        is ``store.shard(shard_id).read(sn)``.
         """
         resolved = self._resolve(locator)
-        return self._stores[resolved.shard_id].read(resolved.sn)
+        return self._stores[resolved.shard_id].read(
+            resolved.sn, record_index=resolved.record_index)
 
     def read_record(self, locator: LocatorLike) -> bytes:
         """The one payload *locator* names (unverified convenience).
 
-        Group-committed VRs hold several records; this routes the read
-        and picks ``record_index``.  Auditors should prefer
+        Reads one block whatever the group size; auditors should prefer
         :meth:`read` + client verification.
         """
-        resolved = self._resolve(locator)
-        result = self._stores[resolved.shard_id].read(resolved.sn)
+        result = self.read(locator)
         if result.status != "active":
             raise WormError(
-                f"record {resolved.pack()} is not active ({result.status})")
-        if resolved.record_index >= len(result.records):
-            raise ShardRoutingError(
-                f"locator {resolved.pack()} indexes past the VR's "
-                f"{len(result.records)} records")
-        return result.records[resolved.record_index]
+                f"record {self._resolve(locator).pack()} is not active "
+                f"({result.status})")
+        return result.records[0]
 
     # ------------------------------------------------------- expiry & lifecycle
 

@@ -42,7 +42,7 @@ from repro.core.errors import (
 )
 from repro.core.locator import RecordLocator, resolve_locator
 from repro.core.policy import PolicyRegistry
-from repro.core.proofs import ReadResult
+from repro.core.proofs import ReadResult, RecordPath
 from repro.core.retention import RetentionMonitor
 from repro.core.retry import RetryExecutor, RetryingScpu, RetryPolicy, RetryStats
 from repro.core.shredding import shred
@@ -229,13 +229,15 @@ class StrongWormStore:
         """
         return self._scpu_rt
 
-    def _resolve_sn(self, sn) -> int:
+    def _resolve_sn(self, sn) -> Tuple[int, Optional[int]]:
         """Normalize an SN argument: int, packed locator, or locator.
 
-        A standalone store is shard 0 of a one-shard deployment, so the
-        packed locators its callers wrote down (``"0:41:0"``) route here
-        uniformly with the sharded front-end.  A locator naming any
-        other shard is a routing error, not a silent misread.
+        Returns the serial number and the record index a locator names
+        (``None`` for a bare serial number).  A standalone store is
+        shard 0 of a one-shard deployment, so the packed locators its
+        callers wrote down (``"0:41:0"``) route here uniformly with the
+        sharded front-end.  A locator naming any other shard is a
+        routing error, not a silent misread.
         """
         if isinstance(sn, bool) or not isinstance(sn, (int, str,
                                                        RecordLocator)):
@@ -243,13 +245,13 @@ class StrongWormStore:
                 f"cannot address a record by {sn!r}; pass a serial "
                 "number, a RecordLocator, or a packed locator string")
         if isinstance(sn, int):
-            return sn
+            return sn, None
         resolved = resolve_locator(sn)
         if resolved.shard_id != 0:
             raise ShardRoutingError(
                 f"locator {resolved.pack()} names shard "
                 f"{resolved.shard_id}; a standalone store serves shard 0")
-        return resolved.sn
+        return resolved.sn, resolved.record_index
 
     def _cost_checkpoints(self) -> Tuple[float, float, float]:
         return (self.scpu.meter.checkpoint(), self.host.meter.checkpoint(),
@@ -312,14 +314,15 @@ class StrongWormStore:
             self.host.memcpy_cost(len(item))
             rdl.append(RecordDescriptor(key=key, length=len(item)))
 
-        # 2. Hash the VR data — on the SCPU (DMA + card SHA) or, in the
-        #    weaker burst mode, on the host with deferred verification.
+        # 2. Hash the VR's data tree — on the SCPU (DMA + card SHA) or, in
+        #    the weaker burst mode, on the host with deferred verification.
         chunks = [self.retry.call("block_store.get", self.blocks.get,
                                   rd.key) for rd in rdl]
         if defer_data_hash:
-            data_hash = self.host.hash_record_data(chunks)
+            tree = self.host.hash_record_data(chunks)
         else:
-            data_hash = self._scpu_rt.hash_record_data(chunks)
+            tree = self._scpu_rt.hash_record_data_batch([chunks])[0]
+        data_hash = tree.root
 
         # 3. SCPU allocates the SN and witnesses the update.
         sn = self._scpu_rt.issue_serial_number()
@@ -339,7 +342,7 @@ class StrongWormStore:
         vrd = VirtualRecordDescriptor(sn=sn, attr=attr, rdl=tuple(rdl),
                                       metasig=metasig, datasig=datasig,
                                       data_hash=data_hash)
-        self.vrdt.insert_active(vrd)
+        self.vrdt.insert_active(vrd, tree)
         self.host.table_touch()
         self.disk.write(256, sequential=True)  # VRDT log append
 
@@ -368,28 +371,35 @@ class StrongWormStore:
 
     # -------------------------------------------------------------------- read
 
-    def read(self, sn) -> ReadResult:
+    def read(self, sn, record_index: Optional[int] = None) -> ReadResult:
         """Serve a read with its proof (§4.2.2 Read) — main CPU only.
 
         *sn* is a serial number, a :class:`RecordLocator`, or a packed
         locator string (``"0:41:0"`` — shard 0, uniformly with the
-        sharded front-end).  The SCPU is never touched: proofs are the
-        *stored* signed artifacts.  If those have gone stale (an idle
-        store without its maintenance loop), clients will reject them —
-        by design.
+        sharded front-end).  A bare serial number reads the whole VR; a
+        locator (or an explicit *record_index*) reads the one record it
+        names — one block, plus that record's sibling path in the VR's
+        data tree — and an index past the VR raises
+        :class:`ShardRoutingError`.  The SCPU is never touched: proofs
+        are the *stored* signed artifacts.  If those have gone stale (an
+        idle store without its maintenance loop), clients will reject
+        them — by design.
         """
-        sn = self._resolve_sn(sn)
+        sn, located = self._resolve_sn(sn)
+        if record_index is None:
+            record_index = located
         if not self.obs.enabled:
-            return self._serve_read(sn)
+            return self._serve_read(sn, record_index)
         marks = self._cost_checkpoints()
-        result = self._serve_read(sn)
+        result = self._serve_read(sn, record_index)
         costs = self._cost_delta(marks)
         self.obs.inc("store.reads")
         self.obs.observe("op.read.seconds", sum(costs.values()))
         self._emit_op_spans("read", costs)
         return result
 
-    def _serve_read(self, sn: int) -> ReadResult:
+    def _serve_read(self, sn: int,
+                    record_index: Optional[int] = None) -> ReadResult:
         """The read path proper (see :meth:`read` for the contract)."""
         if sn < 1:
             raise UnknownSerialNumberError(f"serial numbers start at 1, got {sn}")
@@ -403,13 +413,25 @@ class StrongWormStore:
         if status == "active":
             vrd = self.vrdt.get_active(sn)
             assert vrd is not None
+            if record_index is None:
+                served = vrd.rdl
+                path = None
+            elif 0 <= record_index < len(vrd.rdl):
+                served = (vrd.rdl[record_index],)
+                path = RecordPath(
+                    index=record_index, count=len(vrd.rdl),
+                    siblings=self.vrdt.record_path(sn, record_index))
+            else:
+                raise ShardRoutingError(
+                    f"record index {record_index} is past SN {sn}'s "
+                    f"{len(vrd.rdl)} records")
             payloads = []
-            for rd in vrd.rdl:
+            for rd in served:
                 payloads.append(self.retry.call(
                     "block_store.get", self.blocks.get, rd.key))
                 self.disk.read(rd.length)
             return ReadResult(sn=sn, status="active", proof=proof, vrd=vrd,
-                              records=tuple(payloads))
+                              records=tuple(payloads), record_path=path)
 
         if case == "deletion-proof":
             self.disk.read(256)
@@ -437,7 +459,7 @@ class StrongWormStore:
         hold), ``"premature"`` (not yet expired — the RM re-arms), or
         ``"already"`` (no longer active).
         """
-        sn = self._resolve_sn(sn)
+        sn, _ = self._resolve_sn(sn)
         vrd = self.vrdt.get_active(sn)
         if vrd is None:
             return "already"
@@ -623,14 +645,14 @@ class StrongWormStore:
             self.disk.write(len(payload), sequential=True)
             self.host.memcpy_cost(len(payload))
             rdl.append(RecordDescriptor(key=key, length=len(payload)))
-        data_hash = self._scpu_rt.hash_record_data(payloads)
+        tree = self._scpu_rt.hash_record_data_batch([payloads])[0]
         sn = self._scpu_rt.issue_serial_number()
         metasig, datasig = self._scpu_rt.witness_write(
-            sn, attr.canonical_bytes(), data_hash, strength=Strength.STRONG)
+            sn, attr.canonical_bytes(), tree.root, strength=Strength.STRONG)
         vrd = VirtualRecordDescriptor(sn=sn, attr=attr, rdl=tuple(rdl),
                                       metasig=metasig, datasig=datasig,
-                                      data_hash=data_hash)
-        self.vrdt.insert_active(vrd)
+                                      data_hash=tree.root)
+        self.vrdt.insert_active(vrd, tree)
         self.host.table_touch()
         self.disk.write(256, sequential=True)
         self.retention.on_write(
@@ -666,21 +688,21 @@ class StrongWormStore:
             rdls.append(tuple(rdl))
         # Bulk replay lands as one sequential stream, not per-payload seeks.
         self.disk.write(total_bytes, sequential=True)
-        hashes = self._scpu_rt.hash_record_data_batch(
+        trees = self._scpu_rt.hash_record_data_batch(
             [payloads for _, payloads in items])
         sns = self._scpu_rt.issue_serial_numbers(len(items))
         sig_pairs = self._scpu_rt.witness_write_batch(
-            [(sn, attr.canonical_bytes(), data_hash)
-             for sn, (attr, _), data_hash in zip(sns, items, hashes)],
+            [(sn, attr.canonical_bytes(), tree.root)
+             for sn, (attr, _), tree in zip(sns, items, trees)],
             strength=Strength.STRONG)
         vrds: List[VirtualRecordDescriptor] = []
         self.disk.write(256 * len(items), sequential=True)
-        for sn, (attr, _), rdl, data_hash, (metasig, datasig) in zip(  # wormlint: disable=W009 - host-side table bookkeeping; the batch's SCPU crossings (hash/SN/witness) are amortised above, and the auth hook is per-record by protocol
-                sns, items, rdls, hashes, sig_pairs):
+        for sn, (attr, _), rdl, tree, (metasig, datasig) in zip(  # wormlint: disable=W009 - host-side table bookkeeping; the batch's SCPU crossings (hash/SN/witness) are amortised above, and the auth hook is per-record by protocol
+                sns, items, rdls, trees, sig_pairs):
             vrd = VirtualRecordDescriptor(sn=sn, attr=attr, rdl=rdl,
                                           metasig=metasig, datasig=datasig,
-                                          data_hash=data_hash)
-            self.vrdt.insert_active(vrd)
+                                          data_hash=tree.root)
+            self.vrdt.insert_active(vrd, tree)
             self.host.table_touch()
             self.retention.on_write(
                 sn, max(attr.expires_at,

@@ -4,7 +4,8 @@ Everything the WORM protocol signs or hashes flows through this package:
 
 * :mod:`repro.crypto.numtheory` — primality / modular arithmetic,
 * :mod:`repro.crypto.rsa` — from-scratch RSA (PKCS#1 v1.5-style),
-* :mod:`repro.crypto.hashing` — chained and incremental hashing for VR data,
+* :mod:`repro.crypto.hashing` — the VR data tree (root and record paths)
+  and incremental hashing,
 * :mod:`repro.crypto.hmac_scheme` — HMAC witnessing for extreme bursts,
 * :mod:`repro.crypto.envelope` — typed signed statements (splice-proof),
 * :mod:`repro.crypto.keys` — signing keys, lifetimes, the regulatory CA,
@@ -25,11 +26,13 @@ from repro.crypto.accumulator import (
 from repro.crypto.chacha import ChaCha20, chacha20_block, chacha20_xor
 from repro.crypto.envelope import Envelope, Purpose, SignedEnvelope
 from repro.crypto.hashing import (
-    ChainedHasher,
+    DataTree,
     IncrementalMultisetHash,
     chained_hash,
+    data_tree,
     digest,
     hexdigest,
+    path_root,
 )
 from repro.crypto.hmac_scheme import HmacScheme
 from repro.crypto.keys import (
@@ -58,11 +61,13 @@ __all__ = [
     "Envelope",
     "Purpose",
     "SignedEnvelope",
-    "ChainedHasher",
+    "DataTree",
     "IncrementalMultisetHash",
     "chained_hash",
+    "data_tree",
     "digest",
     "hexdigest",
+    "path_root",
     "HmacScheme",
     "Certificate",
     "CertificateAuthority",

@@ -32,6 +32,7 @@ from repro.sim.engine import Simulator
 
 if TYPE_CHECKING:  # annotation-only: keeps this module dependency-light
     from repro.crypto.envelope import SignedEnvelope
+    from repro.crypto.hashing import DataTree
     from repro.crypto.keys import Certificate, CertificateAuthority
     from repro.hardware.scpu import WrappedKey
 
@@ -192,7 +193,8 @@ class ScpuLike(Protocol):
 
     # -- batched entry points (one boundary crossing, per-item costs) --------
     def hash_record_data_batch(
-            self, chunk_lists: Iterable[Iterable[bytes]]) -> List[bytes]: ...
+            self, chunk_lists: Iterable[Iterable[bytes]]
+    ) -> List["DataTree"]: ...
 
     def witness_write_batch(
             self, items: Iterable[Tuple[int, bytes, bytes]],

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.crypto.hashing import ChainedHasher
+from repro.crypto.hashing import DataTree, data_tree
 from repro.hardware.calibration import HOST_P4_3_4GHZ, CryptoProfile
 from repro.hardware.device import OpMeter
 
@@ -32,15 +32,18 @@ class HostCPU:
         self.meter = OpMeter()
         self.hash_block_size = hash_block_size
 
-    def hash_record_data(self, chunks: Iterable[bytes]) -> bytes:
-        """Hash record data at host speed (verify-later burst mode)."""
-        hasher = ChainedHasher()
-        total = 0
-        for chunk in chunks:
-            total += len(chunk)
-            hasher.update(chunk)
-        self.meter.charge("sha", self.profile.sha_seconds(total, self.hash_block_size))
-        return hasher.digest()
+    def hash_record_data(self, chunks: Iterable[bytes]) -> DataTree:
+        """Hash a VR's data tree at host speed (verify-later burst mode).
+
+        The same tree and the same charge rule as the card's hashing
+        pass; the SCPU later re-hashes the data to check the root.
+        """
+        records = list(chunks)
+        tree = data_tree(records)
+        total = sum(len(record) for record in records)
+        self.meter.charge("sha", self.profile.sha_seconds(
+            total + tree.node_bytes, self.hash_block_size))
+        return tree
 
     def table_touch(self, entries: int = 1) -> None:
         """Charge VRDT bookkeeping cost for *entries* table operations."""

@@ -34,7 +34,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.crypto.accumulator import TrapdoorAccumulator
 from repro.crypto.envelope import Envelope, Purpose, SignedEnvelope
-from repro.crypto.hashing import ChainedHasher
+from repro.crypto.hashing import DataTree, data_tree
 from repro.crypto.hmac_scheme import HmacScheme
 from repro.crypto.keys import Certificate, CertificateAuthority, SigningKey
 from repro.hardware.calibration import SCPU_IBM_4764, CryptoProfile
@@ -142,7 +142,8 @@ class BatchOfOne:
         return self.issue_serial_numbers(1)[0]
 
     def hash_record_data(self, chunks: Iterable[bytes]) -> bytes:
-        return self.hash_record_data_batch([chunks])[0]
+        """The data hash (tree root) of one VR; the batch op keeps the nodes."""
+        return self.hash_record_data_batch([chunks])[0].root
 
     def witness_write(self, sn: int, attr_bytes: bytes, data_hash: bytes,
                       strength: str = Strength.STRONG
@@ -302,29 +303,32 @@ class SecureCoprocessor(BatchOfOne):
     # -- data hashing (datasig input) ----------------------------------------
 
     def hash_record_data_batch(
-            self, chunk_lists: Iterable[Iterable[bytes]]) -> List[bytes]:
-        """DMA records' data into the enclosure and hash each (chained hash).
+            self, chunk_lists: Iterable[Iterable[bytes]]) -> List[DataTree]:
+        """DMA records' data into the enclosure and hash each VR's data tree.
 
         Charges, per record, the DMA transfer (75-90 MB/s end-to-end) plus
         the SCPU's SHA throughput at the configured block size — the
         dominant write cost for large records, which is why Figure 1's
-        curves fall as record size grows.  One crossing per batch.
+        curves fall as record size grows.  A VR of ``g >= 2`` records
+        also hashes its ``g - 1`` inner nodes and the count seal in the
+        same pass; a one-record VR costs exactly what the chained hash
+        did.  Each tree comes back whole: the root for ``datasig``, the
+        nodes for the store's record paths.  One crossing per batch.
         """
         self.tamper.check()
-        digests: List[bytes] = []
+        trees: List[DataTree] = []
         total = 0
         for chunks in chunk_lists:
-            hasher = ChainedHasher()
-            nbytes = 0
-            for chunk in chunks:
-                nbytes += len(chunk)
-                hasher.update(chunk)
+            records = list(chunks)
+            nbytes = sum(len(record) for record in records)
+            tree = data_tree(records)
             self.meter.charge("dma", self.profile.dma_seconds(nbytes))
-            self.meter.charge("sha", self.profile.sha_seconds(nbytes, self.hash_block_size))
-            digests.append(hasher.digest())
+            self.meter.charge("sha", self.profile.sha_seconds(
+                nbytes + tree.node_bytes, self.hash_block_size))
+            trees.append(tree)
             total += nbytes
         self.meter.crossing(total)
-        return digests
+        return trees
 
     def verify_deferred_hash(self, chunks: Iterable[bytes], claimed: bytes) -> bool:
         """Idle-time check of a host-provided hash (§4.2.2 weaker model).

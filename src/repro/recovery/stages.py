@@ -52,9 +52,9 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.errors import RecoveryError, TamperedError
 from repro.core.locator import RecordLocator
+from repro.core.migration import datasig_covers
 from repro.core.sharded import ShardedWormStore, ShardedWriteReceipt
 from repro.crypto.envelope import Purpose, SignedEnvelope
-from repro.crypto.hashing import ChainedHasher
 from repro.crypto.keys import CertificateAuthority
 from repro.obs.bus import NULL_BUS, TelemetryBus
 from repro.recovery.replication import ReplicaSite
@@ -447,14 +447,7 @@ class SiteRecovery:
             raise TamperedError(
                 f"shard {shard_id} SN {vrd.sn}: replica is missing payload "
                 f"blocks {missing} for a record it advertises")
-        hasher = ChainedHasher()
-        for rd in vrd.rdl:
-            hasher.update(blocks[rd.key])
-        shard.scpu.meter.charge(
-            "sha", shard.scpu.profile.sha_seconds(
-                sum(rd.length for rd in vrd.rdl),
-                shard.scpu.hash_block_size))
-        if hasher.digest() != vrd.datasig.field("data_hash"):
+        if not datasig_covers(shard, vrd, blocks):
             raise TamperedError(
                 f"shard {shard_id} SN {vrd.sn}: record data does not "
                 f"match the datasig")

@@ -38,7 +38,6 @@ from repro.core.audit import StoreAuditor
 from repro.core.errors import (
     CrashError,
     MissingRecordError,
-    ShardRoutingError,
     TamperedError,
     WormError,
 )
@@ -393,12 +392,7 @@ class WormService:
             raise MissingRecordError(
                 f"record {self._scope(state, resolved.pack())} "
                 f"is {result.status}")
-        if resolved.record_index >= len(result.records):
-            raise ShardRoutingError(
-                f"locator {resolved.pack()} indexes past the VR's "
-                f"{len(result.records)} records")
-        return 200, {"payload": result.records[resolved.record_index],
-                     "status": result.status}
+        return 200, {"payload": result.records[0], "status": result.status}
 
     def _require_client(self):
         if self._client is None:
@@ -414,17 +408,12 @@ class WormService:
         self._take_token(state, now)
         resolved = self._unscope(state, params.get("locator"))
         self.obs.inc("service.reads")
-        result = self._store.read(resolved)
-        verified = client.verify_read(result, resolved.sn)
+        verified = client.verify_read(self._store.read(resolved), resolved)
         if verified.status != "active":
             raise MissingRecordError(
                 f"record {self._scope(state, resolved.pack())} "
                 f"is {verified.status}")
-        if resolved.record_index >= len(result.records):
-            raise ShardRoutingError(
-                f"locator {resolved.pack()} indexes past the VR's "
-                f"{len(result.records)} records")
-        return 200, {"payload": result.records[resolved.record_index],
+        return 200, {"payload": verified.data,
                      "status": verified.status,
                      "proof_kind": verified.proof_kind,
                      "weakly_signed": verified.weakly_signed}

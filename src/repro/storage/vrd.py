@@ -9,7 +9,7 @@ SN        system-wide unique serial number (issued by the SCPU)
 attr      WORM attributes (:class:`~repro.storage.record.RecordAttributes`)
 RDL       list of physical record descriptors making up the VR
 metasig   SCPU signature on (SN, attr)
-datasig   SCPU signature on (SN, Hash(data)) — chained hash over the RDL
+datasig   SCPU signature on (SN, Hash(data)) — the data-tree root over the RDL
 ========  ==================================================================
 
 ``data_hash`` is also carried in the clear so readers can recompute and

@@ -10,6 +10,11 @@ while SNs below the signed ``SN_base``, above the signed ``SN_current``,
 or inside a signed deletion window are not stored at all — that is the
 storage saving the window scheme buys (§4.2.1).
 
+Beside each multi-record VR's RDL the table keeps the nodes of its data
+tree (:class:`~repro.crypto.hashing.DataTree`), so a read of one record
+serves that record's ``log2(g)`` sibling path without touching the
+VR's other payloads.  A one-record VR needs none: its path is empty.
+
 The table also stores the signed window artifacts the main CPU presents to
 clients: the current ``S_s(SN_current)`` (timestamped, refreshed every few
 minutes), ``S_s(SN_base)`` (with expiry), and the correlated lower/upper
@@ -27,6 +32,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.errors import MissingRecordError
 from repro.crypto.envelope import SignedEnvelope
+from repro.crypto.hashing import DataTree
 from repro.storage.vrd import VirtualRecordDescriptor
 
 __all__ = ["VrdTable", "DeletionWindow"]
@@ -79,6 +85,8 @@ class VrdTable:
         # block key -> number of *distinct active SNs* referencing it, so
         # shred-eligibility checks don't sweep every active VRD per delete
         self._block_refs: Dict[str, int] = {}
+        # sn -> data-tree nodes of each active VR with two or more records
+        self._trees: Dict[int, DataTree] = {}
         # lazily rebuilt sorted view of deletion_windows for O(log k)
         # covering lookups; keyed on (id, len) so appends and wholesale
         # replacements of the (public, untrusted) list invalidate it
@@ -100,12 +108,19 @@ class VrdTable:
             else:
                 self._block_refs.pop(key, None)
 
-    def insert_active(self, vrd: VirtualRecordDescriptor) -> None:
-        """Add a freshly written VRD (rejects SN collisions)."""
+    def insert_active(self, vrd: VirtualRecordDescriptor,
+                      tree: Optional[DataTree] = None) -> None:
+        """Add a freshly written VRD (rejects SN collisions).
+
+        *tree* is the VR's data tree from the hashing pass; its nodes are
+        kept for :meth:`record_path` when the VR holds two or more records.
+        """
         if vrd.sn in self._active or vrd.sn in self._deletion_proofs:
             raise ValueError(f"SN {vrd.sn} already present in VRDT")
         self._active[vrd.sn] = vrd
         self._retain_blocks(vrd)
+        if tree is not None and tree.count > 1:
+            self._trees[vrd.sn] = tree
 
     def replace_active(self, vrd: VirtualRecordDescriptor) -> None:
         """Swap an active VRD in place (signature upgrade, lit_hold)."""
@@ -121,12 +136,18 @@ class VrdTable:
     def get_deletion_proof(self, sn: int) -> Optional[SignedEnvelope]:
         return self._deletion_proofs.get(sn)
 
+    def record_path(self, sn: int, index: int) -> Tuple[bytes, ...]:
+        """Sibling path of record *index* of active VR *sn* (empty for one)."""
+        tree = self._trees.get(sn)
+        return tree.path(index) if tree is not None else ()
+
     def mark_expired(self, sn: int, deletion_proof: SignedEnvelope) -> None:
         """Replace an active entry with its deletion proof (§4.2.2 delete)."""
         if sn not in self._active:
             raise MissingRecordError(f"SN {sn} is not active")
         self._release_blocks(self._active[sn])
         del self._active[sn]
+        self._trees.pop(sn, None)
         self._deletion_proofs[sn] = deletion_proof
 
     def drop_proofs(self, sns: Iterator[int]) -> None:
@@ -221,6 +242,8 @@ class VrdTable:
             total += sum(len(rd.key) + 12 for rd in vrd.rdl)
             total += len(vrd.metasig.signature) + len(vrd.datasig.signature)
             total += len(vrd.data_hash)
+        for tree in self._trees.values():
+            total += sum(len(level) for level in tree.levels)
         for proof in self._deletion_proofs.values():
             total += 16 + len(proof.signature)
         for window in self.deletion_windows:
@@ -230,7 +253,7 @@ class VrdTable:
     # -- serialization (compliant migration) -------------------------------------
 
     def to_dict(self) -> dict:
-        return {
+        data = {
             "active": [vrd.to_dict() for _, vrd in sorted(self._active.items())],
             "deletion_proofs": [proof.to_dict()
                                 for _, proof in sorted(self._deletion_proofs.items())],
@@ -240,12 +263,24 @@ class VrdTable:
                         if self.sn_base_envelope else None),
             "deletion_windows": [w.to_dict() for w in self.deletion_windows],
         }
+        if self._trees:
+            data["data_trees"] = {
+                str(sn): {"levels": [level.hex() for level in tree.levels],
+                          "root": tree.root.hex()}
+                for sn, tree in sorted(self._trees.items())}
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "VrdTable":
         table = cls()
+        trees = data.get("data_trees", {})
         for vrd_data in data["active"]:
-            table.insert_active(VirtualRecordDescriptor.from_dict(vrd_data))
+            vrd = VirtualRecordDescriptor.from_dict(vrd_data)
+            tree = trees.get(str(vrd.sn))
+            table.insert_active(vrd, None if tree is None else DataTree(
+                levels=tuple(bytes.fromhex(level)
+                             for level in tree["levels"]),
+                root=bytes.fromhex(tree["root"])))
         for proof_data in data["deletion_proofs"]:
             proof = SignedEnvelope.from_dict(proof_data)
             table._deletion_proofs[int(proof.field("sn"))] = proof

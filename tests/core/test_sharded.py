@@ -190,10 +190,13 @@ class TestGroupCommit:
         target = receipts[5]  # second record of shard 1's two-record VR
         assert target.record_index == 1
         result = sharded.read(target.locator)
-        verified = sharded_client.verify_read(result, target.sn)
+        verified = sharded_client.verify_read(result, target.locator)
         assert verified.status == "active"
-        assert result.records[target.record_index] == b"fox"
-        assert b"fox" in verified.data
+        # A locator read serves the named record alone, with its path.
+        assert result.records == (b"fox",)
+        assert result.record_path.index == target.record_index
+        assert verified.data == b"fox"
+        assert verified.record_index == target.record_index
 
     def test_submit_flushes_at_group_commit_size(self, regulator_key):
         one = ShardedWormStore.build(

@@ -1,15 +1,19 @@
-"""Unit tests for chained and incremental hashing."""
+"""Unit tests for the VR data tree, chained and incremental hashing."""
+
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.hashing import (
-    ChainedHasher,
     IncrementalMultisetHash,
     chained_hash,
+    data_tree,
     digest,
     hexdigest,
+    path_hashed_bytes,
+    path_root,
 )
 
 
@@ -42,24 +46,80 @@ class TestChainedHash:
     def test_empty_sequence_distinct_from_empty_chunk(self):
         assert chained_hash([]) != chained_hash([b""])
 
-    def test_streaming_matches_oneshot(self):
-        chunks = [b"alpha", b"", b"gamma" * 100]
-        hasher = ChainedHasher()
-        for chunk in chunks:
-            hasher.update(chunk)
-        assert hasher.digest() == chained_hash(chunks)
-        assert hasher.count == 3
 
-    def test_streaming_empty(self):
-        assert ChainedHasher().digest() == chained_hash([])
 
-    @given(st.lists(st.binary(max_size=64), max_size=8))
-    @settings(max_examples=50)
-    def test_streaming_always_matches_oneshot(self, chunks):
-        hasher = ChainedHasher()
-        for chunk in chunks:
-            hasher.update(chunk)
-        assert hasher.digest() == chained_hash(chunks)
+def _flip(data: bytes, offset: int) -> bytes:
+    offset %= len(data)
+    return data[:offset] + bytes([data[offset] ^ 0x01]) + data[offset + 1:]
+
+
+class TestDataTree:
+    @pytest.mark.parametrize("record", [b"", b"x", b"one record" * 50])
+    def test_one_leaf_root_is_the_chained_hash(self, record):
+        # Every single-record VR signs the same bytes as before the tree.
+        tree = data_tree([record])
+        assert tree.root == chained_hash([record])
+        assert tree.path(0) == () and tree.node_bytes == 0
+
+    def test_empty_root_is_the_empty_chain(self):
+        assert data_tree([]).root == chained_hash([])
+
+    def test_root_seals_order_split_and_count(self):
+        assert data_tree([b"a", b"b"]).root != data_tree([b"b", b"a"]).root
+        assert data_tree([b"ab", b"c"]).root != data_tree([b"a", b"bc"]).root
+        # Three records vs. the first two: same left subtree, other count.
+        assert data_tree([b"a", b"b", b"c"]).root \
+            != data_tree([b"a", b"b"]).root
+        assert data_tree([b"a", b"b"]).root != chained_hash([b"a", b"b"])
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 5, 8, 13, 64, 100])
+    def test_paths_are_at_most_log2_long_and_reach_the_root(self, count):
+        records = [b"record-%d" % i for i in range(count)]
+        tree = data_tree(records)
+        assert tree.count == count
+        assert tree.node_bytes == (65 * (count - 1) + 41 if count > 1 else 0)
+        for index, record in enumerate(records):
+            siblings = tree.path(index)
+            assert len(siblings) <= math.ceil(math.log2(count))
+            assert path_root(record, index, count, siblings) == tree.root
+            assert path_hashed_bytes(len(record), len(siblings), count) \
+                == (8 + len(record) + 65 * len(siblings)
+                    + (41 if count > 1 else 0))
+
+    def test_a_path_of_the_wrong_shape_reaches_nothing(self):
+        records = [b"a", b"b", b"c"]
+        tree = data_tree(records)
+        assert path_root(b"c", 2, 3, tree.path(2) + (b"\x00" * 32,)) is None
+        assert path_root(b"a", 0, 3, tree.path(0)[:1]) is None
+        assert path_root(b"a", 3, 3, tree.path(0)) is None
+        assert path_root(b"a", -1, 3, tree.path(0)) is None
+        assert path_root(b"a", 0, 1 << 64, tree.path(0)) is None
+
+    @given(count=st.integers(min_value=1, max_value=64),
+           size=st.integers(min_value=1, max_value=24),
+           offset=st.integers(min_value=0, max_value=1 << 16))
+    @settings(max_examples=100, deadline=None)
+    def test_every_genuine_path_verifies_and_every_flip_fails(
+            self, count, size, offset):
+        """Every index of every g: the genuine path verifies; a flipped
+        payload byte, a flipped byte in any sibling, or any flipped byte
+        of the sealed count does not."""
+        records = [bytes([i]) * size for i in range(count)]
+        tree = data_tree(records)
+        for index, record in enumerate(records):
+            siblings = tree.path(index)
+            assert path_root(record, index, count, siblings) == tree.root
+            assert path_root(_flip(record, offset), index, count,
+                             siblings) != tree.root
+            for hit in range(len(siblings)):
+                forged = (siblings[:hit] + (_flip(siblings[hit], offset),)
+                          + siblings[hit + 1:])
+                assert path_root(record, index, count, forged) != tree.root
+            for byte in range(8):
+                flipped = int.from_bytes(
+                    _flip(count.to_bytes(8, "big"), byte), "big")
+                assert path_root(record, index, flipped,
+                                 siblings) != tree.root
 
 
 class TestIncrementalMultisetHash:

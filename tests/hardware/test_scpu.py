@@ -54,9 +54,18 @@ class TestWitnessing:
         with pytest.raises(ValueError):
             scpu.witness_write(1, b"a", b"h", strength="nonsense")
 
-    def test_hash_matches_chained_hash(self, scpu):
-        from repro.crypto.hashing import chained_hash
-        assert scpu.hash_record_data([b"a", b"b"]) == chained_hash([b"a", b"b"])
+    def test_hash_is_the_data_tree_root(self, scpu):
+        from repro.crypto.hashing import chained_hash, data_tree
+        assert scpu.hash_record_data([b"a", b"b"]) \
+            == data_tree([b"a", b"b"]).root
+        assert scpu.hash_record_data([b"a"]) == chained_hash([b"a"])
+
+    def test_hash_batch_returns_each_vr_tree(self, scpu):
+        trees = scpu.hash_record_data_batch([[b"a", b"b", b"c"], [b"d"]])
+        assert [tree.count for tree in trees] == [3, 1]
+        # Record 2 of 3 is promoted at the leaves; its one sibling is the
+        # first node of the level above.
+        assert trees[0].path(2) == (trees[0].levels[1][:32],)
 
     def test_hash_cost_scales_with_size(self, scpu):
         mark = scpu.meter.checkpoint()

@@ -26,9 +26,9 @@ class TestBatchEquivalence:
     def test_hash_batch_matches_singular(self, pair):
         batched, singular = pair
         chunk_lists = [[b"alpha", b"beta"], [b"gamma"], [b""]]
-        digests = batched.hash_record_data_batch(chunk_lists)
-        assert digests == [singular.hash_record_data(chunks)
-                           for chunks in chunk_lists]
+        trees = batched.hash_record_data_batch(chunk_lists)
+        assert [tree.root for tree in trees] == [
+            singular.hash_record_data(chunks) for chunks in chunk_lists]
         assert batched.meter.crossings == 1
         assert singular.meter.crossings == len(chunk_lists)
         # Identical per-item charges: only the round-trip count differs.
@@ -122,8 +122,8 @@ class TestBatchSurfacePropagation:
     def test_faulty_wrapper_forwards_batches(self):
         scpu = SecureCoprocessor(keyring=demo_keyring())
         wrapped = FaultyScpu(scpu)
-        assert wrapped.hash_record_data_batch([[b"a"]]) \
-            == [scpu.hash_record_data([b"a"])]
+        assert [tree.root for tree in wrapped.hash_record_data_batch(
+            [[b"a"]])] == [scpu.hash_record_data([b"a"])]
         # A real attribute (not __getattr__): the op is fault-gateable.
         assert "hash_record_data_batch" in type(wrapped).__dict__
 

@@ -223,3 +223,32 @@ class TestDrillArguments:
         assert captured.err.startswith(f"{argv[0]}: ")
         assert "must be >=" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["tenant-bench", "--record-size", "-1"], "--record-size"),
+        (["tenant-bench", "--hour-seconds", "0"], "--hour-seconds"),
+        (["serve", "--shards", "0"], "--shards"),
+        (["obs", "--record-size", "-1"], "--record-size"),
+        (["faults-demo", "--record-size", "-1"], "--record-size"),
+    ], ids=["tenant-bench-record-size", "tenant-bench-hour-seconds",
+            "serve-shards", "obs-record-size", "faults-demo-record-size"])
+    def test_out_of_range_flag_is_an_argparse_usage_error(self, argv, flag,
+                                                         capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage: ")
+        assert f"argument {flag}: must be >" in captured.err
+        assert captured.out == ""
+
+
+class TestRecoverDrill:
+    @pytest.mark.parametrize("records", [5, 20])
+    def test_short_drill_keeps_the_ca_chain(self, records, capsys):
+        # Fewer than four batches: the site used to die before the
+        # standby held the certificates, and DISCOVER raised.
+        assert main(["recover", "--records", str(records)]) == 0
+        out = capsys.readouterr().out
+        assert (f"zero acknowledged-write loss: {records} records readable "
+                "and verified") in out

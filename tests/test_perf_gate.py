@@ -46,7 +46,7 @@ def committed(tmp_path, fresh):
 def test_identical_baselines_pass(committed, capsys):
     assert perf.check_baselines(committed) == []
     assert main(["perf", "--check", "--out-dir", str(committed)]) == 0
-    assert "all 6 artifacts match a fresh run" in capsys.readouterr().out
+    assert "all 7 artifacts match a fresh run" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("section, key, change", [
