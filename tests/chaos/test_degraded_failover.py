@@ -80,7 +80,7 @@ class TestZeroLossUnderFaults:
         on_dead_shard = 0
         for receipt in receipts:
             result = store.read(receipt.locator)
-            verified = client.verify_read(result, receipt.sn)
+            verified = client.verify_read(result, receipt.locator)
             assert verified.status == "active"
             if receipt.shard_id == 1:
                 on_dead_shard += 1

@@ -60,7 +60,7 @@ class TestHappyPath:
         for receipt in receipts:
             old = receipt.locator.pack()
             new = RecordLocator.unpack(report.locator_mapping[old])
-            verified = client.verify_read(standby.read(new), new.sn)
+            verified = client.verify_read(standby.read(new), new)
             assert verified.status == "active"
             payload = standby.read_record(report.locator_mapping[old])
             assert payload == primary.read_record(old)
