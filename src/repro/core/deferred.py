@@ -29,6 +29,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
+from repro.hardware.scpu import StrengtheningError
 from repro.obs.bus import NULL_BUS, TelemetryBus
 
 __all__ = ["PendingStrengthening", "StrengtheningQueue", "HashVerificationQueue"]
@@ -172,47 +173,12 @@ class StrengtheningQueue:
         return bisect.bisect_right(self._live_deadlines, now)
 
     def strengthen_next(self, now: float) -> Optional[int]:
-        """Strengthen the most urgent entry; returns its SN (None if idle).
+        """Strengthen the most urgent live entry: a :meth:`drain` of one.
 
-        Entries whose record was deleted in the meantime are skipped (a
-        deletion proof supersedes the data signatures).  Strengthening a
-        construct past its hard expiry is still performed — the signature
-        chain remains internally valid — but it is *counted* as a
-        lifetime violation, which the security benchmarks assert to be
-        zero under correctly provisioned systems.
-
-        If strengthening itself fails — the SCPU dropped the request, or
-        tripped tamper response mid-burst — the entry is **restored to
-        the queue** before the error propagates: a weak construct must
-        never silently leave the backlog without its strong signature
-        (that would launder a 512-bit/HMAC witness into apparent full
-        strength).  The surviving backlog is inspectable via
-        :meth:`report`.
+        Returns its SN (None if idle).
         """
-        while self._heap:
-            item = heapq.heappop(self._heap)
-            pending = item[2]
-            if not self._store.vrdt.is_active(pending.sn):
-                # Reconcile the gauge view in case the deletion was never
-                # pushed via note_deleted (no-op when it was).
-                self._discard_gauge_entry(pending.sn, item[0])
-                self.skipped_deleted += 1
-                continue
-            if now > pending.hard_expiry and pending.sn not in self._violated:
-                # One violation per record, ever: a retry of the same
-                # entry (restored below on failure) is still the same
-                # lapsed construct, not a new lapse.
-                self._violated.add(pending.sn)
-                self.lifetime_violations += 1
-            try:
-                self._store.strengthen_vrd(pending.sn)
-            except BaseException:
-                heapq.heappush(self._heap, item)
-                raise
-            self._discard_gauge_entry(pending.sn, item[0])
-            self.strengthened_count += 1
-            return pending.sn
-        return None
+        done = self._strengthen_slice(now, 1)
+        return done[0] if done else None
 
     def _prune_deleted(self) -> None:
         """Evict (and count) every entry whose record is gone."""
@@ -245,14 +211,64 @@ class StrengtheningQueue:
         }
 
     def drain(self, now: float, max_items: Optional[int] = None) -> int:
-        """Strengthen up to *max_items* entries (all, when None)."""
-        done = 0
-        while self._heap and (max_items is None or done < max_items):
-            if self.strengthen_next(now) is None:
-                break
-            done += 1
-        return done
+        """Strengthen up to *max_items* live entries (all, when None), most
+        urgent first, in one card call; returns how many were strengthened.
 
+        Entries whose record was deleted in the meantime are skipped (a
+        deletion proof supersedes the data signatures).  Strengthening a
+        construct past its hard expiry is still performed — the signature
+        chain remains internally valid — but it is *counted* as a
+        lifetime violation, once per record, which the security
+        benchmarks assert to be zero under correctly provisioned systems.
+
+        If strengthening fails — the SCPU dropped the request, tripped
+        tamper response, or refused a tampered construct — every entry
+        that did not get its strong signatures is **restored to the
+        queue** before the error propagates: a weak construct must never
+        silently leave the backlog without its strong signature (that
+        would launder a 512-bit/HMAC witness into apparent full
+        strength).  The surviving backlog is inspectable via
+        :meth:`report`.
+        """
+        return len(self._strengthen_slice(now, max_items))
+
+    def _strengthen_slice(self, now: float,
+                          max_items: Optional[int]) -> List[int]:
+        """Pop up to *max_items* live entries and strengthen them in one
+        :meth:`StrongWormStore.strengthen_vrds` call; their SNs."""
+        taken: List[Tuple[float, int, PendingStrengthening]] = []
+        while self._heap and (max_items is None or len(taken) < max_items):
+            item = heapq.heappop(self._heap)
+            pending = item[2]
+            if not self._store.vrdt.is_active(pending.sn):
+                # Reconcile the gauge view in case the deletion was never
+                # pushed via note_deleted (no-op when it was).
+                self._discard_gauge_entry(pending.sn, item[0])
+                self.skipped_deleted += 1
+                continue
+            if now > pending.hard_expiry and pending.sn not in self._violated:
+                # One violation per record, ever: a retry of the same
+                # entry (restored below on failure) is still the same
+                # lapsed construct, not a new lapse.
+                self._violated.add(pending.sn)
+                self.lifetime_violations += 1
+            taken.append(item)
+        if not taken:
+            return []
+        done = 0
+        try:
+            self._store.strengthen_vrds([item[2].sn for item in taken])
+            done = len(taken)
+        except StrengtheningError as exc:
+            done = exc.records_done
+            raise
+        finally:
+            for item in taken[done:]:
+                heapq.heappush(self._heap, item)
+            for item in taken[:done]:
+                self._discard_gauge_entry(item[2].sn, item[0])
+            self.strengthened_count += done
+        return [item[2].sn for item in taken]
 
 class HashVerificationQueue:
     """Idle-time verification of host-computed data hashes (§4.2.2).
@@ -292,33 +308,43 @@ class HashVerificationQueue:
         return now - self._pending[0][0]
 
     def verify_next(self) -> Optional[bool]:
-        """Verify the oldest pending hash; returns the outcome (None if idle)."""
-        while self._pending:
+        """Verify the oldest pending hash: a :meth:`drain` of one.
+
+        Returns the outcome (None if idle).
+        """
+        mismatches = len(self.mismatches)
+        if not self.drain(max_items=1):
+            return None
+        return len(self.mismatches) == mismatches
+
+    def drain(self, max_items: Optional[int] = None) -> int:
+        """Verify up to *max_items* pending hashes (all, when None), oldest
+        first, in one card call; returns how many were verified.
+
+        Entries whose record was deleted meanwhile are dropped — nothing
+        is left to protect — and counted, not silent.  Same no-laundering
+        rule as strengthening: if reading the blocks or the card call
+        fails, the whole slice goes back to the front of the backlog, in
+        its order, before the error propagates.
+        """
+        taken: List[Tuple[float, int]] = []
+        vrds = []
+        while self._pending and (max_items is None or len(taken) < max_items):
             entry = self._pending.popleft()
             vrd = self._store.vrdt.get_active(entry[1])
             if vrd is None:
-                # Deleted meanwhile; nothing left to protect — but the
-                # drop is counted, not silent.
                 self.skipped_deleted += 1
                 continue
-            try:
-                ok = self._store.scpu_verify_data_hash(vrd)
-            except BaseException:
-                # Same no-laundering rule as strengthening: an unverified
-                # host hash stays in the backlog if the SCPU call fails.
-                self._pending.appendleft(entry)
-                raise
-            self.verified_count += 1
-            if not ok:
-                self.mismatches.append(entry[1])
-            return ok
-        return None
-
-    def drain(self, max_items: Optional[int] = None) -> int:
-        """Verify up to *max_items* pending hashes (all, when None)."""
-        done = 0
-        while self._pending and (max_items is None or done < max_items):
-            if self.verify_next() is None:
-                break
-            done += 1
-        return done
+            taken.append(entry)
+            vrds.append(vrd)
+        if not taken:
+            return 0
+        try:
+            outcomes = self._store.scpu_verify_data_hashes(vrds)
+        except BaseException:
+            self._pending.extendleft(reversed(taken))
+            raise
+        self.verified_count += len(taken)
+        self.mismatches.extend(entry[1] for entry, ok in zip(taken, outcomes)
+                               if not ok)
+        return len(taken)

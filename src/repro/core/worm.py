@@ -52,7 +52,7 @@ from repro.hardware.device import ScpuLike
 from repro.hardware.disk import DiskDevice
 from repro.obs.bus import NULL_BUS
 from repro.hardware.host import HostCPU
-from repro.hardware.scpu import SecureCoprocessor, Strength
+from repro.hardware.scpu import SecureCoprocessor, Strength, StrengtheningError
 from repro.storage.block_store import BlockStore, MemoryBlockStore
 from repro.storage.record import RecordAttributes, RecordDescriptor
 from repro.storage.vrd import VirtualRecordDescriptor
@@ -316,8 +316,13 @@ class StrongWormStore:
 
         # 2. Hash the VR's data tree — on the SCPU (DMA + card SHA) or, in
         #    the weaker burst mode, on the host with deferred verification.
+        #    New payloads are hashed as the caller passed them, so datasig
+        #    covers what was sent, not what the block store kept; only
+        #    shared records are read back.
         chunks = [self.retry.call("block_store.get", self.blocks.get,
-                                  rd.key) for rd in rdl]
+                                  item.key)
+                  if isinstance(item, RecordDescriptor) else item
+                  for item in (*shared_rds, *records)]
         if defer_data_hash:
             tree = self.host.hash_record_data(chunks)
         else:
@@ -553,20 +558,36 @@ class StrongWormStore:
 
     # ---------------------------------------------- deferred-queue callbacks
 
-    def strengthen_vrd(self, sn: int) -> None:
-        """Upgrade one weak/HMAC-witnessed VRD to strong signatures.
+    def strengthen_vrds(self, sns: Sequence[int]) -> None:
+        """Upgrade weak/HMAC-witnessed VRDs to strong signatures.
 
-        Both signatures travel to the card together — one boundary
-        crossing per record instead of one per signature.
+        Every record's metasig and datasig travel to the card in one
+        ``strengthen_batch``: one boundary crossing for the lot.  If the
+        card refuses a construct (:class:`StrengtheningError`), the
+        records whose two constructs both came back strong are upgraded,
+        and the error, re-raised, counts them in ``records_done``;
+        nothing else is touched.  SNs no longer active are skipped.
         """
-        vrd = self.vrdt.get_active(sn)
-        if vrd is None:
-            return
-        metasig, datasig = self._scpu_rt.strengthen_batch(
-            [vrd.metasig, vrd.datasig])
-        self.vrdt.replace_active(vrd.with_signatures(metasig, datasig))
-        self.host.table_touch()
-        self.disk.write(256, sequential=True)
+        vrds = [vrd for vrd in map(self.vrdt.get_active, sns)
+                if vrd is not None]
+        try:
+            strong = self._scpu_rt.strengthen_batch(
+                [signed for vrd in vrds for signed in (vrd.metasig,
+                                                       vrd.datasig)])
+        except StrengtheningError as exc:
+            exc.records_done = len(exc.strengthened) // 2
+            self._apply_strong(vrds[:exc.records_done], exc.strengthened)
+            raise
+        self._apply_strong(vrds, strong)
+
+    def _apply_strong(self, vrds: Sequence[VirtualRecordDescriptor],
+                      strong: Sequence[SignedEnvelope]) -> None:
+        """Store each VRD with its strong (metasig, datasig) pair."""
+        for vrd, metasig, datasig in zip(  # wormlint: disable=W009 - host-side table bookkeeping after the batch's one strengthen_batch crossing
+                vrds, strong[0::2], strong[1::2]):
+            self.vrdt.replace_active(vrd.with_signatures(metasig, datasig))
+            self.host.table_touch()
+            self.disk.write(256, sequential=True)
 
     def scpu_verify_metasig(self, vrd: VirtualRecordDescriptor) -> bool:
         """SCPU-side check of a VRDT entry's metasig (night scan)."""
@@ -587,14 +608,19 @@ class StrongWormStore:
             return False
         return self._scpu_rt.verify_envelope(signed, key)
 
-    def scpu_verify_data_hash(self, vrd: VirtualRecordDescriptor) -> bool:
-        """SCPU re-reads the VR's data and verifies a host-claimed hash."""
-        chunks = []
-        for rd in vrd.rdl:
-            chunks.append(self.retry.call("block_store.get",
-                                          self.blocks.get, rd.key))
-            self.disk.read(rd.length)
-        return self._scpu_rt.verify_deferred_hash(chunks, vrd.data_hash)
+    def scpu_verify_data_hashes(
+            self, vrds: Sequence[VirtualRecordDescriptor]) -> List[bool]:
+        """SCPU re-reads VRs' data and verifies their host-claimed hashes:
+        every block is read first, then one card call checks them all."""
+        items = []
+        for vrd in vrds:
+            chunks = []
+            for rd in vrd.rdl:
+                chunks.append(self.retry.call("block_store.get",
+                                              self.blocks.get, rd.key))
+                self.disk.read(rd.length)
+            items.append((chunks, vrd.data_hash))
+        return self._scpu_rt.verify_deferred_hash_batch(items)
 
     # ----------------------------------------------------------- maintenance
 

@@ -21,7 +21,7 @@ This module provides:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.crypto.envelope import Envelope, Purpose, SignedEnvelope
 from repro.crypto.rsa import RsaKeyPair, RsaPublicKey, generate_keypair
@@ -111,16 +111,21 @@ class SigningKey:
 
     def sign_envelope(self, envelope: Envelope) -> SignedEnvelope:
         """Sign a protocol envelope, producing a client-checkable construct."""
-        signature = self.keypair.private.sign(envelope.canonical_bytes(),
-                                              hash_name=self.hash_name)
-        return SignedEnvelope(
-            envelope=envelope,
-            signature=signature,
-            key_fingerprint=self.fingerprint,
-            key_bits=self.bits,
-            scheme="rsa",
-            hash_name=self.hash_name,
-        )
+        return self.sign_envelopes([envelope])[0]
+
+    def sign_envelopes(self, envelopes: Sequence[Envelope]
+                       ) -> List[SignedEnvelope]:
+        """:meth:`sign_envelope` each of *envelopes*, in one signing batch
+        (:meth:`~repro.crypto.rsa.RsaPrivateKey.sign_many`)."""
+        signatures = self.keypair.private.sign_many(
+            [envelope.canonical_bytes() for envelope in envelopes],
+            hash_name=self.hash_name)
+        fingerprint = self.fingerprint
+        return [SignedEnvelope(envelope=envelope, signature=signature,
+                               key_fingerprint=fingerprint,
+                               key_bits=self.bits, scheme="rsa",
+                               hash_name=self.hash_name)
+                for envelope, signature in zip(envelopes, signatures)]
 
     @classmethod
     def generate(cls, bits: int, role: str) -> "SigningKey":

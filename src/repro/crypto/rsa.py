@@ -10,14 +10,14 @@ verify every proof the untrusted main CPU presents.  This module provides
 the underlying primitive: deterministic, hash-then-pad RSA signing with
 CRT acceleration, plus key (de)serialization so keys survive migration.
 
-Every private-key operation with a modulus of 1024 bits or more runs
-its two CRT halves at once: the q-half in the caller, the p-half in a
-helper interpreter (:class:`_PowLane`), because the built-in ``pow``
-holds the interpreter lock and a thread could not overlap them.  Shorter
-keys compute both halves in the caller.  The lane changes wall-clock
-time only; the result is checked against the public key before it is
-released, so a wrong half can cost a signature but never produce a
-wrong one.
+Private-key operations run in batches, and each batch's two CRT halves
+run at once: the q-halves in the caller, the p-halves in a helper
+interpreter (:class:`_PowLane`), because the built-in ``pow`` holds the
+interpreter lock and a thread could not overlap them.  A batch whose
+p-halves are too short to be worth the trip computes both halves in the
+caller.  The lane changes wall-clock time only; every result is checked
+against the public key before it is released, so a wrong half can cost
+a batch of signatures but never produce a wrong one.
 
 Security notes
 --------------
@@ -42,7 +42,7 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.errors import SignatureError
 from repro.crypto.numtheory import generate_prime, modinv
@@ -100,22 +100,34 @@ def _hash(message: bytes, hash_name: str) -> bytes:
 #: Seconds the exit hook waits for the helper to leave before killing it.
 _LANE_EXIT_WAIT_S = 2.0
 
+#: One modular exponentiation, ``(base, exponent, modulus)``.
+Pow = Tuple[int, int, int]
+
 
 class _PowLane:
-    """A helper interpreter that computes one ``pow`` while the caller
-    computes another.
+    """A helper interpreter that computes one batch of ``pow`` while the
+    caller computes another.
 
     The helper is stateless: each request is one line of hex ``base
-    exponent modulus``, each answer one line of hex.  It is launched on
-    first use, never at import, and imports nothing from this package.
-    One lane serves the whole process: cores belong to the machine, not
-    to a key or a card, and cards have no close hook to stop a helper of
-    their own.
+    exponent modulus``, each answer one line of hex.  A batch travels as
+    one message, a run of request lines in one write.  The helper is
+    launched on first use, never at import, and imports nothing from this
+    package.  One lane serves the whole process: cores belong to the
+    machine, not to a key or a card, and cards have no close hook to stop
+    a helper of their own.
 
-    Halves mod a prime shorter than :attr:`MIN_BITS` are both computed
-    here.  Such a half (about 0.2 ms for the 256-bit primes of a 512-bit
-    key) takes about as long as waking an idle helper, so the lane would
-    save little and make each signature's cost depend on the scheduler.
+    A message goes to the helper only when its far moduli add up to at
+    least :attr:`MIN_BITS` bits: one half of a 1024-bit key, or the two
+    halves of a 512-bit key's signature pair.  A lone half mod a shorter
+    prime (about 0.2 ms for the 256-bit primes of a 512-bit key) takes
+    about as long as waking an idle helper, so the lane would save little
+    and make each signature's cost depend on the scheduler; both halves
+    are computed here.
+
+    A long batch goes out in messages of at most :attr:`ANSWER_BYTES` of
+    answers.  A pipe holds at least that much, so the helper never
+    blocks writing the answers to one message while the caller is still
+    writing its requests.
 
     After each answer the helper polls its input for :attr:`POLL_S`
     before it blocks.  A helper that blocks at once lets its core go idle,
@@ -123,21 +135,29 @@ class _PowLane:
     woken; the next request of a burst of signatures usually comes well
     within the poll.
 
-    The caller waits for an answer, polling as the helper does, at most
-    as long as its own half took: a helper that has not been scheduled in
-    that time may take milliseconds more, while computing the far half
-    here costs about what the near half did.  A late answer is discarded
-    when it arrives, and no request is sent while one is still owed.
-    When the helper cannot be launched or has died, the far half is
-    computed here for the rest of the process's life.
+    The caller computes the near halves, then waits for the helper's
+    answers, polling as the helper does: at most as long as one of its
+    own halves took for the last message of a batch, as long as all of
+    them took for an earlier one.  A helper that has not answered by
+    then may take milliseconds more, so the caller computes the far
+    halves still missing itself, last first, and takes each answer that
+    arrives meanwhile.  Answers still owed are read and discarded before
+    the next message, and none is sent while any is owed.  When the
+    helper cannot be launched or has died, the far halves are computed
+    here for the rest of the process's life.
     """
 
-    #: Bits of the smallest prime modulus whose halves use the helper (the
-    #: primes of a 1024-bit key).
+    #: Bits the far moduli of one message must add up to before it goes
+    #: to the helper (one prime of a 1024-bit key, two of a 512-bit key).
     MIN_BITS = 512
 
     #: Seconds the helper polls its input after an answer before blocking.
     POLL_S = 0.002
+
+    #: Bytes of answers one message may be owed: POSIX lets a pipe hold
+    #: at least ``PIPE_BUF`` bytes, so the helper's answers to one
+    #: message always fit in its output pipe.
+    ANSWER_BYTES = getattr(select, "PIPE_BUF", 512)
 
     #: The helper's whole program.  It reads its input with ``os.read``,
     #: not a buffered reader, so ``select`` sees every byte not yet read.
@@ -165,45 +185,79 @@ class _PowLane:
         # select() waits on pipes only on POSIX; elsewhere every half is
         # computed in-process.
         self._down = os.name != "posix"
-        #: An answer is still owed for a request the caller stopped waiting for.
-        self._late = False
+        #: Answers to the last message sent that have not been read yet.
+        self._owed = 0
         #: Bytes read from the helper and not yet consumed.
         self._inbox = b""
 
-    def pow_pair(self, far: Tuple[int, int, int],
-                 near: Tuple[int, int, int]) -> Tuple[int, int]:
-        """``(pow(*far), pow(*near))``, with *far* computed by the helper
-        when its modulus has at least :attr:`MIN_BITS` bits."""
-        if far[2].bit_length() < self.MIN_BITS:
-            return pow(*far), pow(*near)
-        with self._lock:
-            if self._send(b"%x %x %x\n" % far):
-                try:
-                    # The clock only bounds a wait; it selects which process
-                    # computes a value, never the value.
-                    start = time.perf_counter()  # wormlint: disable=W002
-                    near_value = pow(*near)
-                    # Wait at most as long again as the near half took.
-                    far_value = self._receive(
-                        2 * time.perf_counter() - start)  # wormlint: disable=W002
-                except BaseException:
-                    # Its answer may still arrive: never read it as the
-                    # answer to a later request.
-                    self._shut()
-                    raise
-                if far_value is None:
-                    far_value = pow(*far)
-                return far_value, near_value
-        return pow(*far), pow(*near)
+    def pow_pairs(self, pairs: Sequence[Tuple[Pow, Pow]]
+                  ) -> List[Tuple[int, int]]:
+        """``(pow(*far), pow(*near))`` for each pair, in order, with the
+        far halves computed by the helper in messages that qualify."""
+        messages: List[List[Tuple[Pow, Pow]]] = []
+        room = 0
+        for pair in pairs:
+            size = pair[0][2].bit_length() // 4 + 2  # hex digits + newline
+            if not messages or size > room:
+                messages.append([])
+                room = self.ANSWER_BYTES
+            messages[-1].append(pair)
+            room -= size
+        results: List[Tuple[int, int]] = []
+        for index, message in enumerate(messages):  # wormlint: disable=W009 - messages to the helper's pipe, not card crossings
+            results += self._pow_message(message,
+                                         last=index == len(messages) - 1)
+        return results
+
+    def _pow_message(self, pairs: List[Tuple[Pow, Pow]],
+                     last: bool) -> List[Tuple[int, int]]:
+        """One message's pairs: the far halves by the helper, when it
+        qualifies and the helper can take it, the near halves here."""
+        if sum(far[2].bit_length() for far, _ in pairs) >= self.MIN_BITS:
+            with self._lock:
+                if self._send(b"".join(b"%x %x %x\n" % far
+                                       for far, _ in pairs), len(pairs)):
+                    try:
+                        return self._share(pairs, last)
+                    except BaseException:
+                        # Its answers may still arrive: never read them as
+                        # the answers to a later message.
+                        self._shut()
+                        raise
+        return [(pow(*far), pow(*near)) for far, near in pairs]
+
+    def _share(self, pairs: List[Tuple[Pow, Pow]],
+               last: bool) -> List[Tuple[int, int]]:
+        """The pairs of a message just sent: the near halves here, then the
+        helper's far halves; far halves still missing after the wait are
+        computed here, last first, taking each answer that arrives
+        meanwhile.  The batch's last message waits at most as long as one
+        half took here; an earlier one as long as its near halves took,
+        since answers it leaves owed would keep the next message here."""
+        count = len(pairs)
+        # The clock only bounds a wait; it selects which process
+        # computes a value, never the value.
+        start = time.perf_counter()  # wormlint: disable=W002
+        nears = [pow(*near) for _, near in pairs]
+        now = time.perf_counter()  # wormlint: disable=W002
+        fars = self._receive(count,
+                             now + (now - start) / (count if last else 1))
+        here: List[int] = []
+        while len(fars) + len(here) < count:  # wormlint: disable=W009 - the helper's pipe, not a card crossing
+            here.append(pow(*pairs[count - 1 - len(here)][0]))
+            if self._proc is not None:
+                fars += self._receive(count - len(fars) - len(here), 0.0)
+        return list(zip(fars + here[::-1], nears))
 
     def close(self) -> None:
         """Stop the helper (also the exit hook); later calls run in-process."""
         with self._lock:
             self._shut()
 
-    def _send(self, request: bytes) -> bool:
-        """Pass *request* to the helper, launching it on first use; False
-        when there is no helper to pass it to, or it still owes an answer."""
+    def _send(self, request: bytes, count: int) -> bool:
+        """Pass one message of *count* requests to the helper, launching it
+        on first use; False when there is no helper to pass it to, or it
+        still owes answers."""
         if self._proc is None and not self._down:
             try:
                 self._proc = subprocess.Popen(
@@ -214,45 +268,56 @@ class _PowLane:
                 self._down = True
             else:
                 atexit.register(self.close)
-        if self._proc is None:
+        if self._owed and self._proc is not None:
+            self._receive(self._owed, 0.0)  # late answers, discarded
+        if self._proc is None or self._owed:
             return False
-        if self._late and self._receive(0.0) is None:
-            return False
+        view = memoryview(request)
         try:
-            self._proc.stdin.write(request)
+            # An unbuffered pipe write may take only a part.
+            while view:  # wormlint: disable=W009 - writes to the helper's pipe, not a card crossing
+                view = view[self._proc.stdin.write(view):]
         except BrokenPipeError:
             self._shut()  # the helper died
             return False
+        self._owed = count
         return True
 
-    def _receive(self, deadline: float) -> Optional[int]:
-        """The helper's next answer, or None when it has not come by
-        *deadline*, a ``time.perf_counter`` value (the answer is then
-        owed), or the helper died.
+    def _receive(self, limit: int, deadline: float) -> List[int]:
+        """The helper's next owed answers, at most *limit* of them: those
+        that came by *deadline*, a ``time.perf_counter`` value.  The rest
+        stay owed, unless the helper died.
 
         The wait polls rather than blocks, for the reason the helper
         does: a core left idle can take longer to wake than the rest of
         the wait.
         """
+        answers: List[int] = []
+        limit = min(limit, self._owed)
         fd = self._proc.stdout.fileno()
-        while b"\n" not in self._inbox:  # wormlint: disable=W009 - os.read on the helper's pipe, not a card crossing
-            while not select.select([fd], [], [], 0)[0]:
-                if time.perf_counter() >= deadline:  # wormlint: disable=W002
-                    self._late = True
-                    return None
-            chunk = os.read(fd, 4096)
-            if not chunk:
-                self._shut()  # EOF: the helper died
-                return None
-            self._inbox += chunk
-        line, _, self._inbox = self._inbox.partition(b"\n")
-        self._late = False
-        return int(line, 16)
+        while len(answers) < limit:  # wormlint: disable=W009 - os.read on the helper's pipe, not a card crossing
+            while b"\n" not in self._inbox:
+                while not select.select([fd], [], [], 0)[0]:
+                    if time.perf_counter() >= deadline:  # wormlint: disable=W002
+                        self._owed -= len(answers)
+                        return answers
+                chunk = os.read(fd, 4096)
+                if not chunk:
+                    self._shut()  # EOF: the helper died
+                    return answers
+                self._inbox += chunk
+            lines = self._inbox.split(b"\n", limit - len(answers))
+            self._inbox = lines.pop()
+            answers += [int(line, 16) for line in lines]
+        self._owed -= len(answers)
+        return answers
 
     def _shut(self) -> None:
         """Close the helper's input, wait for it to exit, then kill it."""
         proc, self._proc = self._proc, None
         self._down = True
+        self._owed = 0
+        self._inbox = b""
         if proc is None:
             return
         proc.stdin.close()
@@ -345,21 +410,33 @@ class RsaPrivateKey:
 
     def sign(self, message: bytes, hash_name: str = "sha256") -> bytes:
         """Produce a deterministic PKCS#1 v1.5 signature on *message*."""
-        em = _pkcs1_pad(_hash(message, hash_name), hash_name, self.byte_length)
-        return _int_to_bytes(self._private_op(_bytes_to_int(em)),
-                             self.byte_length)
+        return self.sign_many([message], hash_name)[0]
 
-    def _private_op(self, x: int) -> int:
-        """``x^d mod n`` for ``x < n``: the CRT halves mod p (in the pow
-        lane) and mod q (here), recombined and checked before release."""
-        sp, sq = _LANE.pow_pair((x, self.dp, self.p), (x, self.dq, self.q))
-        h = (self.qinv * (sp - sq)) % self.p
-        s = sq + h * self.q
-        # Defend against CRT faults and a wrong lane answer: verify before
-        # releasing.
-        if pow(s, self.e, self.n) != x:
-            raise SignatureError("CRT self-check failed (fault detected)")
-        return s
+    def sign_many(self, messages: Sequence[bytes],
+                  hash_name: str = "sha256") -> List[bytes]:
+        """:meth:`sign` each of *messages*, as one batch of private
+        operations; if any of them fails its check, none is released."""
+        encoded = [_bytes_to_int(_pkcs1_pad(_hash(message, hash_name),
+                                            hash_name, self.byte_length))
+                   for message in messages]
+        return [_int_to_bytes(s, self.byte_length)
+                for s in self._private_ops(encoded)]
+
+    def _private_ops(self, xs: Sequence[int]) -> List[int]:
+        """``x^d mod n`` for each ``x < n``: the CRT halves mod p (in the
+        pow lane) and mod q (here), recombined and each checked before
+        any is released."""
+        halves = _LANE.pow_pairs([((x, self.dp, self.p), (x, self.dq, self.q))
+                                  for x in xs])
+        results = []
+        for x, (sp, sq) in zip(xs, halves):
+            s = sq + (self.qinv * (sp - sq)) % self.p * self.q
+            # Defend against CRT faults and a wrong lane answer: verify
+            # before releasing.
+            if pow(s, self.e, self.n) != x:
+                raise SignatureError("CRT self-check failed (fault detected)")
+            results.append(s)
+        return results
 
     def to_dict(self) -> dict:
         return {
@@ -410,7 +487,7 @@ def kem_decapsulate(private: RsaPrivateKey, ciphertext: bytes) -> bytes:
     c = _bytes_to_int(ciphertext)
     if c >= private.n:
         raise SignatureError("KEM ciphertext out of range")
-    r = private._private_op(c)
+    r = private._private_ops([c])[0]
     return hashlib.sha256(_int_to_bytes(r, private.byte_length)).digest()
 
 

@@ -129,7 +129,7 @@ class ScpuLike(Protocol):
     is one card or several sharing a keyring.  The protocol is the
     paper's trust-boundary interface: everything here runs inside (or is
     mediated by) the tamper-responding enclosure.  It declares every op
-    of :data:`~repro.hardware.scpu.CARD_OPS` plus the five singular
+    of :data:`~repro.hardware.scpu.CARD_OPS` plus the six singular
     helpers of :class:`~repro.hardware.scpu.BatchOfOne` (each a batch of
     one, so the card itself is batch-only).
 
@@ -204,6 +204,10 @@ class ScpuLike(Protocol):
     def strengthen_batch(
             self, signed_seq: Iterable["SignedEnvelope"]
     ) -> List["SignedEnvelope"]: ...
+
+    def verify_deferred_hash_batch(
+            self, items: Iterable[Tuple[Iterable[bytes], bytes]]
+    ) -> List[bool]: ...
 
     def verify_envelope_batch(
             self, pairs: Iterable[Tuple["SignedEnvelope", object]]

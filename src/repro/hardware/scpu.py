@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import secrets
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.crypto.accumulator import TrapdoorAccumulator
 from repro.crypto.envelope import Envelope, Purpose, SignedEnvelope
@@ -43,7 +43,8 @@ from repro.hardware.tamper import TamperResponder
 from repro.sim.manual_clock import ManualClock
 
 __all__ = ["CARD_OPS", "BatchOfOne", "SecureCoprocessor", "ScpuKeyring",
-           "Strength", "WrappedKey", "install_card_ops"]
+           "Strength", "StrengtheningError", "WrappedKey",
+           "install_card_ops"]
 
 
 @dataclass(frozen=True)
@@ -73,6 +74,19 @@ class WrappedKey:
 
 #: Tiny constant cost charged for counter/NVRAM touches (microseconds).
 _NVRAM_TOUCH_SECONDS = 2e-6
+
+
+class StrengtheningError(ValueError):
+    """A prior construct failed its check in :meth:`~SecureCoprocessor.strengthen_batch`.
+
+    ``strengthened`` holds the strong constructs issued for the items
+    before it, in order; nothing at or after the refused item was signed.
+    """
+
+    def __init__(self, message: str,
+                 strengthened: Sequence[SignedEnvelope] = ()) -> None:
+        super().__init__(message)
+        self.strengthened = list(strengthened)
 
 
 class Strength:
@@ -121,7 +135,7 @@ CARD_OPS: Dict[str, str] = {
         "key_transport_public", "export_deks", "import_deks", "attest",
     ), "authority"),
     **dict.fromkeys((
-        "hash_record_data_batch", "verify_deferred_hash",
+        "hash_record_data_batch", "verify_deferred_hash_batch",
         "witness_write_batch", "strengthen_batch", "verify_own_hmac",
         "verify_envelope_batch", "resign_metadata", "make_deletion_proof",
         "compact_deletion_window", "sign_sn_current",
@@ -144,6 +158,10 @@ class BatchOfOne:
     def hash_record_data(self, chunks: Iterable[bytes]) -> bytes:
         """The data hash (tree root) of one VR; the batch op keeps the nodes."""
         return self.hash_record_data_batch([chunks])[0].root
+
+    def verify_deferred_hash(self, chunks: Iterable[bytes],
+                             claimed: bytes) -> bool:
+        return self.verify_deferred_hash_batch([(chunks, claimed)])[0]
 
     def witness_write(self, sn: int, attr_bytes: bytes, data_hash: bytes,
                       strength: str = Strength.STRONG
@@ -249,9 +267,17 @@ class SecureCoprocessor(BatchOfOne):
     # -- internal signing helpers ------------------------------------------
 
     def _sign(self, key: SigningKey, purpose: str, fields: Dict) -> SignedEnvelope:
-        envelope = Envelope(purpose=purpose, fields=fields, timestamp=self.now)
+        return key.sign_envelope(self._to_sign(key, purpose, fields))
+
+    def _to_sign(self, key: SigningKey, purpose: str,
+                 fields: Dict) -> Envelope:
+        """An envelope for *key* to sign, its signature charged now.
+
+        A batch op charges each of its signatures in protocol order, then
+        signs them all in one :meth:`SigningKey.sign_envelopes` call.
+        """
         self.meter.charge(f"rsa_sign_{key.bits}", self.profile.rsa_sign_seconds(key.bits))
-        return key.sign_envelope(envelope)
+        return Envelope(purpose=purpose, fields=fields, timestamp=self.now)
 
     def _hmac_sign(self, purpose: str, fields: Dict) -> SignedEnvelope:
         keys = self._keys_or_die()
@@ -330,27 +356,22 @@ class SecureCoprocessor(BatchOfOne):
         self.meter.crossing(total)
         return trees
 
-    def verify_deferred_hash(self, chunks: Iterable[bytes], claimed: bytes) -> bool:
-        """Idle-time check of a host-provided hash (§4.2.2 weaker model).
+    def verify_deferred_hash_batch(
+            self, items: Iterable[Tuple[Iterable[bytes], bytes]]) -> List[bool]:
+        """Idle-time checks of host-provided hashes (§4.2.2 weaker model).
 
         During bursts the main CPU may be trusted to provide the data
-        hash; the SCPU later reads the data itself and verifies.  Charges
-        the same DMA + SHA cost as :meth:`hash_record_data_batch`.
+        hash; the SCPU later reads the data itself and verifies.  *items*
+        are ``(chunks, claimed)`` per VR; each VR is charged the DMA + SHA
+        cost of :meth:`hash_record_data_batch`, and the batch is one
+        crossing.  Returns one outcome per VR.
         """
-        return self.hash_record_data(chunks) == claimed
+        items = list(items)
+        trees = self.hash_record_data_batch(chunks for chunks, _ in items)
+        return [tree.root == claimed
+                for tree, (_, claimed) in zip(trees, items)]
 
     # -- write witnessing -------------------------------------------------------
-
-    def _witness_one(self, sn: int, attr_bytes: bytes, data_hash: bytes,
-                     strength: str) -> Tuple[SignedEnvelope, SignedEnvelope]:
-        meta_fields = {"sn": sn, "attr": attr_bytes}
-        data_fields = {"sn": sn, "data_hash": data_hash}
-        if strength == Strength.HMAC:
-            return (self._hmac_sign(Purpose.METASIG, meta_fields),
-                    self._hmac_sign(Purpose.DATASIG, data_fields))
-        key = self._witness_key(strength)
-        return (self._sign(key, Purpose.METASIG, meta_fields),
-                self._sign(key, Purpose.DATASIG, data_fields))
 
     def witness_write_batch(
             self, items: Iterable[Tuple[int, bytes, bytes]],
@@ -363,13 +384,27 @@ class SecureCoprocessor(BatchOfOne):
         carry the SCPU timestamp.  With ``strength="hmac"`` the envelopes
         are HMAC-tagged instead (not client-verifiable until upgraded).
         Every record still pays its full signing cost — batching
-        amortizes the round trip, not the cryptography.
+        amortizes the round trip, not the cryptography; the batch's
+        signatures are computed in one signing batch.
         """
         self.tamper.check()
         items = list(items)
         self.meter.crossing(sum(len(a) + len(h) for _, a, h in items))
-        return [self._witness_one(sn, attr_bytes, data_hash, strength)
-                for sn, attr_bytes, data_hash in items]
+        if strength == Strength.HMAC:
+            return [(self._hmac_sign(Purpose.METASIG,
+                                     {"sn": sn, "attr": attr_bytes}),
+                     self._hmac_sign(Purpose.DATASIG,
+                                     {"sn": sn, "data_hash": data_hash}))
+                    for sn, attr_bytes, data_hash in items]
+        key = self._witness_key(strength)
+        envelopes: List[Envelope] = []
+        for sn, attr_bytes, data_hash in items:
+            envelopes.append(self._to_sign(key, Purpose.METASIG,
+                                           {"sn": sn, "attr": attr_bytes}))
+            envelopes.append(self._to_sign(key, Purpose.DATASIG,
+                                           {"sn": sn, "data_hash": data_hash}))
+        signed = key.sign_envelopes(envelopes)
+        return list(zip(signed[0::2], signed[1::2]))
 
     # -- deferred-strength upgrades (§4.3) ---------------------------------------
 
@@ -379,19 +414,42 @@ class SecureCoprocessor(BatchOfOne):
 
         The SCPU verifies its *own* prior construct first — a weak
         signature within lifetime, or an HMAC tag — then signs the same
-        statement (purpose + fields) afresh with a current timestamp.
-        Raises :class:`ValueError` if a prior construct does not check
-        out (a tampered queue entry must never be laundered into a strong
-        signature).  Fail-fast: the preceding items were already
-        strengthened — callers that need per-item isolation submit
-        per-record batches (e.g. one record's metasig + datasig).
+        statement (purpose + fields) afresh with a current timestamp; a
+        construct already under ``s`` is verified and returned unchanged.
+        Every construct is checked, in order, before any is signed, and
+        the new signatures are computed in one signing batch.  A
+        construct that does not check out must never be laundered into a
+        strong signature: at the first one, only the constructs before it
+        are signed, and :class:`StrengtheningError` (a ``ValueError``)
+        carries them.  Charges are per construct, in order, as if each
+        were strengthened alone.
         """
         signed_seq = list(signed_seq)
         self.meter.crossing(sum(len(s.signature) for s in signed_seq))
-        return [self._strengthen_one(signed) for signed in signed_seq]
-
-    def _strengthen_one(self, signed: SignedEnvelope) -> SignedEnvelope:
         keys = self._keys_or_die()
+        envelopes: List[Envelope] = []
+        try:
+            for signed in signed_seq:
+                envelopes.append(self._check_for_strengthening(keys, signed))
+        except ValueError as exc:
+            raise StrengtheningError(
+                str(exc), self._strong(keys, signed_seq, envelopes)) from None
+        return self._strong(keys, signed_seq, envelopes)
+
+    def _strong(self, keys: ScpuKeyring, signed_seq: List[SignedEnvelope],
+                envelopes: List[Optional[Envelope]]) -> List[SignedEnvelope]:
+        """The strong constructs for the checked prefix of *signed_seq*:
+        the ones already strong as they are, the rest signed in one batch."""
+        fresh = iter(keys.s_key.sign_envelopes(
+            [envelope for envelope in envelopes if envelope is not None]))
+        return [prior if envelope is None else next(fresh)
+                for prior, envelope in zip(signed_seq, envelopes)]
+
+    def _check_for_strengthening(self, keys: ScpuKeyring,
+                                 signed: SignedEnvelope) -> Optional[Envelope]:
+        """Verify one prior construct: None when it is already strong, else
+        the envelope to sign under ``s`` (its signature charged).  Raises
+        ``ValueError`` when the construct does not check out."""
         message = signed.envelope.canonical_bytes()
         if signed.scheme == "hmac":
             self.meter.charge("hmac", self.profile.sha_seconds(len(message), block_size=1024))
@@ -409,7 +467,7 @@ class SecureCoprocessor(BatchOfOne):
                 if not keys.s_key.public.verify(message, signed.signature,
                                                 hash_name=signed.hash_name):
                     raise ValueError("strong construct failed verification")
-                return signed
+                return None
             verify_key = None
             if signed.key_fingerprint == keys.burst_key.fingerprint:
                 verify_key = keys.burst_key.public
@@ -424,8 +482,8 @@ class SecureCoprocessor(BatchOfOne):
             if not verify_key.verify(message, signed.signature,
                                      hash_name=signed.hash_name):
                 raise ValueError("signature verification failed during strengthening")
-        return self._sign(keys.s_key, signed.envelope.purpose,
-                          dict(signed.envelope.fields))
+        return self._to_sign(keys.s_key, signed.envelope.purpose,
+                             dict(signed.envelope.fields))
 
     def verify_own_hmac(self, signed: SignedEnvelope) -> bool:
         """Check an HMAC tag this SCPU issued (night scan of burst writes)."""
@@ -588,10 +646,11 @@ class SecureCoprocessor(BatchOfOne):
         if low_sn > high_sn:
             raise ValueError("deletion window bounds out of order")
         window_id = secrets.token_hex(16)
-        lower = self._sign(keys.s_key, Purpose.WINDOW_LOWER,
-                           {"sn": low_sn, "window_id": window_id})
-        upper = self._sign(keys.s_key, Purpose.WINDOW_UPPER,
-                           {"sn": high_sn, "window_id": window_id})
+        lower, upper = keys.s_key.sign_envelopes([
+            self._to_sign(keys.s_key, Purpose.WINDOW_LOWER,
+                          {"sn": low_sn, "window_id": window_id}),
+            self._to_sign(keys.s_key, Purpose.WINDOW_UPPER,
+                          {"sn": high_sn, "window_id": window_id})])
         return lower, upper
 
     def make_deletion_proof(self, sn: int) -> SignedEnvelope:

@@ -46,7 +46,7 @@ from repro.crypto.keys import Certificate, CertificateAuthority
 from repro.faults.plan import FaultKind, FaultPlan
 from repro.obs.bus import NULL_BUS, TelemetryBus
 from repro.storage.journal import (IntentJournal, JournalEntry, LedgerEntry,
-                                   _tag_from_json, _tag_to_json)
+                                   LedgerFold, _tag_to_json)
 
 __all__ = [
     "ReplicationArtifact",
@@ -381,26 +381,10 @@ class ReplicaSite:
         acknowledged has an entry here (the mirror is synchronous), with
         ``committed``/``locator`` reflecting the last mirrored state.
         """
-        entries: Dict[int, LedgerEntry] = {}
-        order: List[int] = []
+        fold = LedgerFold("append")
         for op in self._journal_ops:
-            if op.get("op") == "append":
-                entry = LedgerEntry(
-                    entry_id=int(op["id"]),
-                    payload=bytes.fromhex(op["payload"]),
-                    kwargs=dict(op["kwargs"]),
-                    tag=_tag_from_json(op.get("tag")))
-                entries[entry.entry_id] = entry
-                order.append(entry.entry_id)
-            elif op.get("op") == "commit":
-                ids = [int(i) for i in op.get("ids", [])]
-                locs = op.get("locators") or [None] * len(ids)
-                for entry_id, locator in zip(ids, locs):
-                    prior = entries.get(entry_id)
-                    if prior is not None:
-                        entries[entry_id] = replace(prior, committed=True,
-                                                    locator=locator)
-        return [entries[i] for i in order]
+            fold.add(op)
+        return fold.entries()
 
 
 class ReplicationPump:

@@ -398,9 +398,9 @@ def _maintenance_loop(simstore: SimulatedStore, interval: float):
         return (simstore.scpu_dev.resource.queue_length == 0
                 and simstore.scpu_dev.resource.in_use == 0)
 
-    # Drain in batches: one cost replay (and one batched SCPU round
-    # trip per record's signature pair) per chunk instead of a full
-    # checkpoint/replay cycle — and a simulation event — per entry.
+    # Drain in batches: one cost replay and one SCPU round trip per
+    # chunk instead of a full checkpoint/replay cycle — and a simulation
+    # event — per entry.
     batch = 8
     while True:
         yield simstore.sim.timeout(interval)

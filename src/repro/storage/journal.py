@@ -45,11 +45,11 @@ import os
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.errors import JournalError
 
-__all__ = ["JournalEntry", "LedgerEntry", "IntentJournal",
+__all__ = ["JournalEntry", "LedgerEntry", "LedgerFold", "IntentJournal",
            "MemoryIntentJournal", "FileIntentJournal"]
 
 
@@ -123,6 +123,60 @@ def _tag_from_json(value: Optional[object]) -> Optional[object]:
     if isinstance(value, list):
         return tuple(value)
     return value
+
+
+class LedgerFold:
+    """Journal records folded into ledger entries, each built once.
+
+    Both journals with a record history fold it here: the file journal's
+    ``submit`` lines and the replica's mirrored ``append`` ops are
+    intents (*intent_op* names which), and ``commit`` records mark
+    already-journalled ids committed with their locators.  :meth:`add`
+    parses a record as it comes (a malformed one raises ``KeyError``,
+    ``ValueError`` or ``TypeError``); :meth:`entries` builds the
+    :class:`LedgerEntry` list, in intent order, however many commits
+    touched an entry.
+    """
+
+    def __init__(self, intent_op: str) -> None:
+        self._intent_op = intent_op
+        self._intents: Dict[int, Tuple[bytes, Dict[str, Any],
+                                       Optional[object]]] = {}
+        self._commits: Dict[int, Optional[str]] = {}
+        self._order: List[int] = []
+
+    def add(self, record: Dict[str, Any]) -> None:
+        """Fold one journal record in."""
+        op = record["op"]
+        if op == self._intent_op:
+            entry_id = int(record["id"])
+            self._intents[entry_id] = (bytes.fromhex(record["payload"]),
+                                       dict(record["kwargs"]),
+                                       _tag_from_json(record.get("tag")))
+            self._commits.pop(entry_id, None)
+            self._order.append(entry_id)
+        elif op == "commit":
+            ids = [int(i) for i in record["ids"]]
+            locators = record.get("locators") or [None] * len(ids)
+            for entry_id, locator in zip(ids, locators):
+                if entry_id in self._intents:
+                    self._commits[entry_id] = locator
+        else:
+            raise KeyError(op)  # wormlint: disable=W005 - a malformed record, reported by the caller
+
+    @property
+    def highest_id(self) -> int:
+        """The highest entry id journalled (0 when none)."""
+        return max(self._order, default=0)
+
+    def entries(self) -> List[LedgerEntry]:
+        built = {entry_id: LedgerEntry(
+                     entry_id=entry_id, payload=payload, kwargs=kwargs,
+                     tag=tag, committed=entry_id in self._commits,
+                     locator=self._commits.get(entry_id))
+                 for entry_id, (payload, kwargs, tag)
+                 in self._intents.items()}
+        return [built[entry_id] for entry_id in self._order]
 
 
 class IntentJournal(ABC):
@@ -263,38 +317,13 @@ class FileIntentJournal(IntentJournal):
         """Parse the file into ledger entries (torn tail tolerated)."""
         if not self._path.exists():
             return []
-        entries: Dict[int, LedgerEntry] = {}
-        order: List[int] = []
-        highest = 0
+        fold = LedgerFold("submit")
         for line_no, line in enumerate(
                 self._path.read_text().splitlines(), start=1):
             if not line.strip():
                 continue
             try:
-                record = json.loads(line)
-                op = record["op"]
-                if op == "submit":
-                    entry = LedgerEntry(
-                        entry_id=int(record["id"]),
-                        payload=bytes.fromhex(record["payload"]),
-                        kwargs=dict(record["kwargs"]),
-                        tag=_tag_from_json(record.get("tag")))
-                    entries[entry.entry_id] = entry
-                    order.append(entry.entry_id)
-                    highest = max(highest, entry.entry_id)
-                elif op == "commit":
-                    ids = [int(i) for i in record["ids"]]
-                    locs = record.get("locators") or [None] * len(ids)
-                    for entry_id, locator in zip(ids, locs):
-                        prior = entries.get(entry_id)
-                        if prior is not None:
-                            entries[entry_id] = LedgerEntry(
-                                entry_id=prior.entry_id,
-                                payload=prior.payload, kwargs=prior.kwargs,
-                                tag=prior.tag, committed=True,
-                                locator=locator)
-                else:
-                    raise KeyError(op)  # wormlint: disable=W005 - feeds the torn-line tolerance handler below
+                fold.add(json.loads(line))
             except (KeyError, ValueError, TypeError) as exc:
                 # A torn final line (crash mid-append) is expected and
                 # safely ignorable; garbage earlier in the file is not.
@@ -302,8 +331,8 @@ class FileIntentJournal(IntentJournal):
                     continue
                 raise JournalError(
                     f"corrupt journal line {line_no} in {self._path}") from exc
-        self._next_id = max(self._next_id, highest + 1)
-        return [entries[i] for i in order]
+        self._next_id = max(self._next_id, fold.highest_id + 1)
+        return fold.entries()
 
     def _load(self) -> List[JournalEntry]:
         return [JournalEntry(entry_id=e.entry_id, payload=e.payload,

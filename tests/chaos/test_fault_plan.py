@@ -101,7 +101,7 @@ class TestFaultyScpu:
             for name in CARD_OPS:
                 assert name in vars(cls), (cls, name)
         singular = [n for n in vars(BatchOfOne) if not n.startswith("_")]
-        assert len(singular) == 5
+        assert len(singular) == 6
         for name in [*CARD_OPS, *singular]:
             assert hasattr(ScpuLike, name), name
 

@@ -92,7 +92,7 @@ class TestTamperDuringStrengthening:
 
 class TestHashVerificationBacklog:
     def test_failed_verification_stays_queued(self):
-        plan = FaultPlan().transient(op="verify_deferred_hash",
+        plan = FaultPlan().transient(op="verify_deferred_hash_batch",
                                      after_ops=1, count=99)
         store = make_faulty_store(plan)
         store.write([b"burst"], strength=Strength.HMAC,
@@ -103,3 +103,38 @@ class TestHashVerificationBacklog:
         # The unverified host hash is still in the exposure window —
         # queued, not silently treated as verified.
         assert len(store.hash_verification) == 1
+
+
+class TestFailedBatchLeavesTheBacklogAlone:
+    """A drain slice is one ``strengthen_batch``; when the whole call
+    fails, it returns nothing and every entry goes back."""
+
+    @pytest.mark.parametrize("fail", [
+        lambda plan: plan.transient(op="strengthen_batch", after_ops=1,
+                                    count=99),
+        lambda plan: plan.crash_before("strengthen_batch", after_ops=1),
+        lambda plan: plan.crash_after("strengthen_batch", after_ops=1),
+        lambda plan: plan.tamper(op="strengthen_batch", after_ops=1),
+    ], ids=["transient", "crash-before", "crash-after", "tamper"])
+    def test_backlog_pending_and_violations_unchanged(self, fail):
+        plan = FaultPlan()
+        store = make_faulty_store(plan)
+        lapsed = [store.write([b"lapsed-%d" % i], strength=Strength.WEAK)
+                  for i in range(3)]
+        store.scpu.clock.advance(60 * 60.0 + 100.0)  # past their lifetime
+        fresh = [store.write([b"fresh-%d" % i], strength=Strength.HMAC)
+                 for i in range(2)]
+        # A first drain that fails counts each lapsed record's violation
+        # once; the next failing drain must change nothing at all.
+        fail(plan)
+        with pytest.raises(Exception):
+            store.strengthening.drain(store.now)
+        before = store.strengthening.report(store.now)
+        assert before["lifetime_violations"] == len(lapsed)
+        assert before["pending_sns"] == sorted(
+            r.sn for r in [*lapsed, *fresh])
+        fail(plan)  # a crash fires once per event
+        with pytest.raises(Exception):
+            store.strengthening.drain(store.now)
+        assert store.strengthening.report(store.now) == before
+        assert len(store.strengthening) == len(lapsed) + len(fresh)

@@ -1,10 +1,15 @@
 """Unit tests for deferred-strength queues (§4.3)."""
 
+import dataclasses
+import hashlib
+
 import pytest
 
+from repro import demo_keyring
 from repro.core.deferred import StrengtheningQueue
 from repro.core.errors import ScpuUnavailableError
-from repro.hardware.scpu import Strength
+from repro.core.worm import StrongWormStore
+from repro.hardware.scpu import SecureCoprocessor, Strength
 
 
 class TestStrengtheningQueue:
@@ -114,16 +119,16 @@ class TestAccountingRegressions:
         lifetime = 60 * 60.0  # 512-bit security lifetime
         store.scpu.clock.advance(lifetime + 100.0)
 
-        real = store.strengthen_vrd
+        real = store.strengthen_vrds
         attempts = []
 
-        def flaky(sn):
-            attempts.append(sn)
+        def flaky(sns):
+            attempts.append(list(sns))
             if len(attempts) == 1:
                 raise ScpuUnavailableError("card dropped the request")
-            return real(sn)
+            return real(sns)
 
-        monkeypatch.setattr(store, "strengthen_vrd", flaky)
+        monkeypatch.setattr(store, "strengthen_vrds", flaky)
         with pytest.raises(ScpuUnavailableError):
             store.strengthening.strengthen_next(store.now)
         # The entry was restored for retry; the lapse already counted.
@@ -287,3 +292,132 @@ class TestGaugeIndexRegressions:
         assert store.strengthening.active_backlog() == 0
         assert doomed.sn not in store.strengthening.report(
             store.now)["pending_sns"]
+
+
+def _textbook(key, signed):
+    """PKCS#1 v1.5 by the book: the signature *key* gives *signed*'s
+    envelope, computed with the full private exponent."""
+    private = key.keypair.private
+    info = bytes.fromhex("3031300d060960864801650304020105000420")
+    t = info + hashlib.sha256(signed.envelope.canonical_bytes()).digest()
+    k = private.byte_length
+    em = b"\x00\x01" + b"\xff" * (k - len(t) - 3) + b"\x00" + t
+    return pow(int.from_bytes(em, "big"), private.d,
+               private.n).to_bytes(k, "big")
+
+
+def _tampered(signed):
+    """*signed* with one signature bit flipped."""
+    flipped = bytes([signed.signature[0] ^ 1]) + signed.signature[1:]
+    return dataclasses.replace(signed, signature=flipped)
+
+
+@pytest.fixture
+def keyed_store():
+    """A store whose keyring the test can read, to check signatures."""
+    keyring = demo_keyring()
+    return keyring, StrongWormStore(scpu=SecureCoprocessor(keyring=keyring))
+
+
+class TestBatchedDrains:
+    """A drain slice is one card call: all of its live entries at once."""
+
+    def test_a_strengthening_slice_is_one_crossing(self, store, monkeypatch):
+        receipts = [store.write([b"w-%d" % i], strength=Strength.WEAK)
+                    for i in range(5)]
+        calls = []
+        real = store.scpu.strengthen_batch
+        monkeypatch.setattr(store.scpu, "strengthen_batch",
+                            lambda seq: calls.append(seq) or real(seq))
+        before = store.scpu.meter.crossings
+        assert store.strengthening.drain(store.now) == 5
+        assert store.scpu.meter.crossings == before + 1
+        assert len(calls) == 1
+        strong = store.scpu.public_keys()["s"].fingerprint()
+        for receipt in receipts:
+            vrd = store.vrdt.get_active(receipt.sn)
+            assert vrd.metasig.key_fingerprint == strong
+            assert vrd.datasig.key_fingerprint == strong
+
+    def test_a_deferred_hash_slice_is_one_crossing(self, store):
+        for i in range(5):
+            store.write([b"d-%d" % i, b"e-%d" % i], defer_data_hash=True)
+        before = store.scpu.meter.crossings
+        assert store.hash_verification.drain() == 5
+        assert store.scpu.meter.crossings == before + 1
+        assert store.hash_verification.verified_count == 5
+        assert store.hash_verification.mismatches == []
+
+    def test_a_deferred_hash_slice_records_each_mismatch(self, store):
+        receipts = [store.write([b"d-%d" % i], defer_data_hash=True)
+                    for i in range(4)]
+        for receipt in receipts[1::2]:
+            store.blocks.unchecked_overwrite(receipt.vrd.rdl[0].key, b"lie")
+        assert store.hash_verification.drain() == 4
+        assert store.hash_verification.mismatches == [
+            receipt.sn for receipt in receipts[1::2]]
+
+    def test_a_failed_deferred_hash_slice_goes_back_in_order(
+            self, store, monkeypatch):
+        for i in range(4):
+            store.write([b"d-%d" % i], defer_data_hash=True)
+        queued = list(store.hash_verification._pending)
+
+        def dropped(vrds):
+            raise ScpuUnavailableError("card dropped the request")
+
+        monkeypatch.setattr(store, "scpu_verify_data_hashes", dropped)
+        with pytest.raises(ScpuUnavailableError):
+            store.hash_verification.drain(max_items=3)
+        assert list(store.hash_verification._pending) == queued
+        assert store.hash_verification.verified_count == 0
+
+    @pytest.mark.parametrize("construct", ["metasig", "datasig"])
+    @pytest.mark.parametrize("j", [0, 2, 4])
+    def test_a_tampered_construct_stops_the_slice_there(self, keyed_store,
+                                                        ca, construct, j):
+        keyring, store = keyed_store
+        client = store.make_client(ca)
+        receipts = [store.write([b"w-%d" % i], strength=Strength.WEAK)
+                    for i in range(5)]
+        vrd = store.vrdt.get_active(receipts[j].sn)
+        store.vrdt.replace_active(vrd.with_signatures(
+            _tampered(vrd.metasig) if construct == "metasig" else vrd.metasig,
+            _tampered(vrd.datasig) if construct == "datasig"
+            else vrd.datasig))
+        with pytest.raises(ValueError, match="verification failed"):
+            store.strengthening.drain(store.now)
+        strong = keyring.s_key.fingerprint
+        for i, receipt in enumerate(receipts):
+            vrd = store.vrdt.get_active(receipt.sn)
+            fingerprints = {vrd.metasig.key_fingerprint,
+                            vrd.datasig.key_fingerprint}
+            # Records before j are strong; j and every later one keep both
+            # weak constructs, even when j's metasig checked out.
+            assert fingerprints == ({strong} if i < j
+                                    else {keyring.burst_key.fingerprint})
+            if i > j:
+                verified = client.verify_read(store.read(receipt.sn),
+                                              receipt.sn)
+                assert verified.weakly_signed is True
+        report = store.strengthening.report(store.now)
+        assert report["pending_sns"] == [r.sn for r in receipts[j:]]
+        assert report["strengthened"] == j
+
+    def test_batched_signatures_are_the_per_envelope_signatures(
+            self, keyed_store):
+        keyring, store = keyed_store
+        receipts = [store.write([b"w-%d" % i], strength=Strength.WEAK)
+                    for i in range(3)]
+        held = store.write([b"hmac"], strength=Strength.HMAC)
+        for receipt in receipts:
+            for signed in (receipt.vrd.metasig, receipt.vrd.datasig):
+                assert signed.signature == _textbook(keyring.burst_key,
+                                                     signed)
+        store.scpu.clock.advance(10.0)
+        assert store.strengthening.drain(store.now) == 4
+        for receipt in [*receipts, held]:
+            vrd = store.vrdt.get_active(receipt.sn)
+            for signed in (vrd.metasig, vrd.datasig):
+                assert signed.timestamp == store.now
+                assert signed.signature == _textbook(keyring.s_key, signed)

@@ -7,6 +7,7 @@ from repro.core.errors import (
     LitigationHoldError,
     RetentionViolationError,
     UnknownSerialNumberError,
+    VerificationError,
     WormError,
 )
 from repro.crypto.envelope import Envelope, Purpose
@@ -221,6 +222,44 @@ class TestMaintenance:
         summary = store.maintenance(strengthen_budget=2)
         assert summary["strengthened"] == 2
         assert len(store.strengthening) == 4
+
+
+class TestWriteHashesInHand:
+    """A write hashes the payloads its caller passed; only shared records
+    are read back from the block store."""
+
+    @staticmethod
+    def _count_gets(store, monkeypatch):
+        gets = []
+        real = store.blocks.get
+
+        def counting(key):
+            gets.append(key)
+            return real(key)
+
+        monkeypatch.setattr(store.blocks, "get", counting)
+        return gets
+
+    def test_new_payloads_are_never_read_back(self, store, monkeypatch):
+        gets = self._count_gets(store, monkeypatch)
+        store.write([b"a", b"b", b"c"])
+        store.write([b"d"], defer_data_hash=True)
+        assert gets == []
+
+    def test_a_shared_descriptor_is_read_once(self, store, monkeypatch):
+        shared = store.write([b"shared blob"]).vrd.rdl[0]
+        gets = self._count_gets(store, monkeypatch)
+        store.write([b"own record"], shared_rds=[shared])
+        assert gets == [shared.key]
+
+    def test_a_put_the_block_store_corrupts_fails_verification(
+            self, store, client, monkeypatch):
+        real = store.blocks.put
+        monkeypatch.setattr(store.blocks, "put",
+                            lambda data: real(bytes(data)[:-1] + b"?"))
+        receipt = store.write([b"what the caller sent"])
+        with pytest.raises(VerificationError):
+            client.verify_read(store.read(receipt.sn), receipt.sn)
 
 
 class TestWriteEdgeCases:

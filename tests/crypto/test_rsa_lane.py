@@ -1,13 +1,16 @@
 """The two-lane CRT engine behind RSA private-key operations.
 
-The p-half of each signature with a key of 1024 bits or more runs in a
-helper interpreter (the pow lane) while the caller computes the q-half;
-shorter keys never use it.  These tests pin what that must never change:
-signatures equal the textbook ``em^d mod n`` whichever process computes
-a half, a dead helper costs speed and nothing else, a late answer is
-never taken for a later one, a wrong answer is never released, concurrent
-callers never see each other's answers, and the helper leaves nothing
-behind when the process exits.
+Private-key operations run in batches.  The p-halves of a batch go to a
+helper interpreter (the pow lane) as one message while the caller
+computes the q-halves, when the message's p-moduli add up to 512 bits:
+one half of a 1024-bit key, or a 512-bit key's signature pair; a lone
+half of a shorter key never uses it.  These tests pin what that must
+never change: signatures equal the textbook ``em^d mod n`` whichever
+process computes a half and however a batch is cut, a dead helper costs
+speed and nothing else, a late answer is never taken for a later one, a
+wrong answer is never released, concurrent callers never see each
+other's answers, long batches never deadlock on the pipes, and the
+helper leaves nothing behind when the process exits.
 """
 
 from __future__ import annotations
@@ -76,7 +79,7 @@ def own_lane(monkeypatch):
 
 
 class _EveryHalf(rsa._PowLane):
-    """A lane that also takes the halves of keys below 1024 bits."""
+    """A lane that takes every message, however short its halves."""
 
     MIN_BITS = 0
 
@@ -102,6 +105,19 @@ def test_two_lane_signature_is_the_textbook_signature(lane, keys, bits,
         private.p.bit_length() >= lane.MIN_BITS)
 
 
+@pytest.mark.parametrize("lane", [rsa._PowLane, _EveryHalf], indirect=True,
+                         ids=["shipped", "every-batch"])
+@pytest.mark.parametrize("bits", [384, 512, 1024])
+@given(messages=st.lists(st.binary(max_size=512), min_size=1, max_size=8))
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_a_batch_is_the_textbook_signature_of_each_message(lane, keys, bits,
+                                                           messages):
+    private = keys[bits]
+    assert private.sign_many(messages, hash_name=_hash_name(bits)) == [
+        _textbook(private, message) for message in messages]
+
+
 def test_first_private_operation_launches_the_helper(own_lane, keys):
     lane = own_lane()
     assert lane._proc is None  # constructing a lane launches nothing
@@ -110,12 +126,22 @@ def test_first_private_operation_launches_the_helper(own_lane, keys):
 
 
 def test_short_keys_never_launch_the_helper(own_lane, keys):
+    """A lone half of a short key is computed in the caller."""
     lane = own_lane()
     for bits in (384, 512):
         ciphertext, secret = rsa.kem_encapsulate(keys[bits].public_key)
         assert rsa.kem_decapsulate(keys[bits], ciphertext) == secret
         assert _sign(keys[bits], b"short") == _textbook(keys[bits], b"short")
     assert lane._proc is None
+
+
+def test_a_weak_pair_launches_the_helper(own_lane, keys):
+    """A 512-bit key's metasig + datasig pair is one 512-bit message."""
+    lane = own_lane()
+    private = keys[512]
+    pair = [b"metasig", b"datasig"]
+    assert private.sign_many(pair) == [_textbook(private, m) for m in pair]
+    assert lane._proc is not None and lane._proc.poll() is None
 
 
 def test_helper_answers_every_line_however_it_arrives():
@@ -190,13 +216,49 @@ def test_late_answers_are_never_read_as_later_ones(own_lane, keys):
     lane = own_lane(_LateStart)
     private = keys[1024]
     assert _sign(private, b"first") == _textbook(private, b"first")
-    assert lane._late  # computed here; the helper still owes its answer
+    assert lane._owed  # computed here; the helper still owes its answer
     for i in range(5000):
         message = b"m-%d" % i
         assert _sign(private, message) == _textbook(private, message)
-        if not lane._late:
+        if not lane._owed:
             break
-    assert not lane._late and lane._proc is not None  # caught up, in use
+    assert not lane._owed and lane._proc is not None  # caught up, in use
+
+
+class _FirstThenLate(rsa._PowLane):
+    """A helper that answers the first request of each read at once and
+    the rest a fifth of a second later."""
+
+    PROGRAM = ("import os, time\n"
+               "inbox = b''\n"
+               "while True:\n"
+               "    chunk = os.read(0, 65536)\n"
+               "    if not chunk:\n"
+               "        break\n"
+               "    lines = (inbox + chunk).split(b'\\n')\n"
+               "    inbox = lines.pop()\n"
+               "    for i, line in enumerate(lines):\n"
+               "        if i == 1:\n"
+               "            time.sleep(0.2)\n"
+               "        b, e, m = (int(x, 16) for x in line.split())\n"
+               "        os.write(1, b'%x\\n' % pow(b, e, m))\n")
+
+
+def test_owed_answers_are_never_read_as_the_next_batchs(own_lane, keys):
+    lane = own_lane(_FirstThenLate)
+    private = keys[1024]
+    partial = 0
+    for round_ in range(6):
+        messages = [b"r%d-%d" % (round_, i) for i in range(4)]
+        assert private.sign_many(messages) == [
+            _textbook(private, m) for m in messages]
+        # The first answer was taken, the other three are owed.
+        partial += 0 < lane._owed < len(messages)
+        # The late answers land in the pipe; the next batch must drain
+        # and discard them before its own message goes out.
+        time.sleep(0.3)  # wormlint: disable=W002
+    assert partial > 0
+    assert lane._proc is not None and lane._proc.poll() is None
 
 
 class _WrongHalf(rsa._PowLane):
@@ -230,6 +292,41 @@ def test_wrong_half_is_never_released(own_lane, keys):
     assert refused > 0
 
 
+class _FirstHalfWrong(rsa._PowLane):
+    """A helper whose first answer to each read is wrong, the rest right."""
+
+    PROGRAM = ("import os\n"
+               "inbox = b''\n"
+               "while True:\n"
+               "    chunk = os.read(0, 65536)\n"
+               "    if not chunk:\n"
+               "        break\n"
+               "    lines = (inbox + chunk).split(b'\\n')\n"
+               "    inbox = lines.pop()\n"
+               "    for i, line in enumerate(lines):\n"
+               "        b, e, m = (int(x, 16) for x in line.split())\n"
+               "        os.write(1, b'%x\\n' % (42 if i == 0 else pow(b, e, m)))\n")
+
+
+def test_a_wrong_half_in_a_batch_releases_none_of_it(own_lane, keys):
+    own_lane(_FirstHalfWrong)
+    private = keys[1024]
+    refused = 0
+    for i in range(50):
+        messages = [b"b%d-%d" % (i, j) for j in range(4)]
+        # Either the wrong answer came in time and the whole batch is
+        # refused, or it was late and computed here; never a batch with
+        # some signatures released.
+        try:
+            signatures = private.sign_many(messages)
+        except SignatureError as exc:
+            assert "self-check" in str(exc)
+            refused += 1
+        else:
+            assert signatures == [_textbook(private, m) for m in messages]
+    assert refused > 0
+
+
 def test_derived_crt_fields_stay_out_of_the_key_identity(keys):
     private = keys[512]
     assert (private.dp, private.dq, private.qinv) == (
@@ -247,8 +344,9 @@ def test_derived_crt_fields_stay_out_of_the_key_identity(keys):
     assert compared == ["n", "e", "d", "p", "q", "bits"]
 
 
-def test_threads_never_see_each_others_answers(keys):
-    private = keys[1024]
+def _stress_threads(private: RsaPrivateKey, batch: int) -> None:
+    """Sign from many threads at once, *batch* messages a call, with the
+    interpreter switching threads as often as it can."""
     messages = [b"m-%d" % i for i in range(24)]
     expected = [_sign(private, m) for m in messages]
     threads_n = 2 * (os.cpu_count() or 1) + 2
@@ -258,9 +356,10 @@ def test_threads_never_see_each_others_answers(keys):
 
     def work(slot: int) -> None:
         try:
-            for i in range(slot, slot + rounds * len(messages)):
-                index = i % len(messages)
-                results[slot].append((index, _sign(private, messages[index])))
+            for i in range(slot, slot + rounds * len(messages), batch):
+                indices = [j % len(messages) for j in range(i, i + batch)]
+                signed = private.sign_many([messages[j] for j in indices])
+                results[slot].extend(zip(indices, signed))
         except BaseException as exc:  # reported by the main thread
             errors.append(exc)
 
@@ -280,6 +379,36 @@ def test_threads_never_see_each_others_answers(keys):
     signed = [pair for per_thread in results for pair in per_thread]
     assert len(signed) == threads_n * rounds * len(messages)
     assert all(signature == expected[index] for index, signature in signed)
+
+
+def test_threads_never_see_each_others_answers(keys):
+    _stress_threads(keys[1024], batch=1)
+
+
+def test_threads_never_see_each_others_batches(keys):
+    _stress_threads(keys[1024], batch=3)
+    _stress_threads(keys[512], batch=2)
+
+
+def test_long_batches_never_deadlock_on_the_pipes(keys):
+    """A batch whose answers would overfill the helper's output pipe goes
+    out in messages that fit it; one message for the whole batch had the
+    helper and the caller each block writing to the other."""
+    code = ("import json, sys\n"
+            "from repro.crypto import rsa\n"
+            "for data, count in json.loads(sys.argv[1]):\n"
+            "    key = rsa.RsaPrivateKey.from_dict(data)\n"
+            "    signed = key.sign_many([b'%d' % i for i in range(count)])\n"
+            "    assert len(signed) == count\n"
+            "    assert key.public_key.verify(b'%d' % (count - 1), signed[-1])\n"
+            "print(rsa._LANE._proc is not None)\n")
+    batches = [(keys[512].to_dict(), 5000), (keys[1024].to_dict(), 1500)]
+    env = dict(os.environ, PYTHONPATH=str(_SRC))
+    child = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(batches)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "True"  # the batches used the helper
 
 
 def _alive(pid: int) -> bool:

@@ -80,6 +80,6 @@ def test_rule_tracks_the_fault_harness_surface():
     from repro.lint.rules import _faultable_ops
     scpu_ops, block_ops = _faultable_ops()
     assert scpu_ops == set(CARD_OPS) | {
-        "issue_serial_number", "hash_record_data", "witness_write",
-        "strengthen", "verify_envelope"}
+        "issue_serial_number", "hash_record_data", "verify_deferred_hash",
+        "witness_write", "strengthen", "verify_envelope"}
     assert block_ops == set(BLOCK_FAULTABLE_OPS)
