@@ -48,7 +48,6 @@ from repro.core import (
     export_package,
     import_package,
 )
-from repro.fs import WormFileSystem
 from repro.core.errors import (
     CrashError,
     CredentialError,
@@ -104,7 +103,6 @@ __all__ = [
     "AuthenticationScheme",
     "available_schemes",
     "StoreAuditor",
-    "WormFileSystem",
     "PolicyRegistry",
     "ReadResult",
     "RecordLocator",

@@ -5,8 +5,6 @@ Turns the library into a usable tool::
     python -m repro.cli init /var/worm
     python -m repro.cli write /var/worm report.pdf --policy sox
     python -m repro.cli cat /var/worm 1 > report.pdf
-    python -m repro.cli fs-put /var/worm /ledger/2026.csv ledger.csv
-    python -m repro.cli fs-cat /var/worm /ledger/2026.csv
     python -m repro.cli status /var/worm
     python -m repro.cli maintain /var/worm
     python -m repro.cli audit /var/worm
@@ -24,7 +22,7 @@ Store directory layout::
     <dir>/blocks/            record payloads (DirectoryBlockStore)
     <dir>/scpu_state.json    simulated card NVRAM (keys, counters)
     <dir>/ca.json            the demo regulatory CA's root key
-    <dir>/state.json         VRDT snapshot + file-system index
+    <dir>/state.json         VRDT snapshot
 """
 
 from __future__ import annotations
@@ -37,12 +35,11 @@ from pathlib import Path
 from typing import Optional, Tuple
 
 from repro.core.audit import StoreAuditor
-from repro.core.errors import TamperedError, WormError
+from repro.core.errors import TamperedError
 from repro.core.worm import StrongWormStore
 from repro.crypto.hmac_scheme import HmacScheme
 from repro.crypto.keys import CertificateAuthority, SigningKey
 from repro.crypto.rsa import RsaKeyPair, RsaPrivateKey
-from repro.fs import WormFileSystem
 from repro.hardware.scpu import ScpuKeyring, SecureCoprocessor, Strength
 from repro.sim.clock import SystemClock
 from repro.sim.metrics import format_table
@@ -67,8 +64,7 @@ def _key_from_dict(data: dict) -> SigningKey:
     return SigningKey(keypair=RsaKeyPair(private=private), role=data["role"])
 
 
-def _save_state(root: Path, store: StrongWormStore,
-                fs: WormFileSystem) -> None:
+def _save_state(root: Path, store: StrongWormStore) -> None:
     keys = store.scpu._keys_or_die()  # wormlint: disable=W001 - simulation-only persistence of the demo card
     scpu_state = {
         "s_key": _key_to_dict(keys.s_key),
@@ -80,12 +76,11 @@ def _save_state(root: Path, store: StrongWormStore,
         "retired_burst": list(store.scpu._retired_burst_fingerprints),  # wormlint: disable=W001 - demo persistence
     }
     (root / "scpu_state.json").write_text(json.dumps(scpu_state))
-    state = {"vrdt": store.vrdt.to_dict(), "fs": fs.to_dict()}
+    state = {"vrdt": store.vrdt.to_dict()}
     (root / "state.json").write_text(json.dumps(state))
 
 
-def _load_state(root: Path) -> Tuple[StrongWormStore, WormFileSystem,
-                                     CertificateAuthority]:
+def _load_state(root: Path) -> Tuple[StrongWormStore, CertificateAuthority]:
     scpu_state = json.loads((root / "scpu_state.json").read_text())
     keyring = ScpuKeyring(
         s_key=_key_from_dict(scpu_state["s_key"]),
@@ -104,14 +99,13 @@ def _load_state(root: Path) -> Tuple[StrongWormStore, WormFileSystem,
     restored = VrdTable.from_dict(state["vrdt"])
     store.vrdt.__dict__.update(restored.__dict__)
     store.windows._vrdt = store.vrdt
-    fs = WormFileSystem.from_dict(store, state["fs"])
     # Rebuild SCPU-side schedules from the (verified) table.
     store.retention.night_scan(store.now)
     _reenqueue_weak(store)
 
     ca_data = json.loads((root / "ca.json").read_text())
     ca = CertificateAuthority(root_key=_key_from_dict(ca_data))
-    return store, fs, ca
+    return store, ca
 
 
 def _reenqueue_weak(store: StrongWormStore) -> None:
@@ -158,23 +152,22 @@ def cmd_init(args) -> int:
     scpu = SecureCoprocessor(keyring=keyring, clock=SystemClock())
     store = StrongWormStore(
         scpu=scpu, block_store=DirectoryBlockStore(root / "blocks"))
-    fs = WormFileSystem(store)
     ca = CertificateAuthority(bits=min(bits, 1024))
     (root / "ca.json").write_text(json.dumps(_key_to_dict(ca._root)))
-    _save_state(root, store, fs)
+    _save_state(root, store)
     print(f"initialized WORM store at {root} "
           f"(s-key fingerprint {keyring.s_key.fingerprint})")
     return 0
 
 
 def cmd_write(args) -> int:
-    root, store, fs, ca = _open(args.directory)
+    root, store, ca = _open(args.directory)
     payload = Path(args.file).read_bytes()
     retention = args.retention_years * _YEAR if args.retention_years else None
     receipt = store.write([payload], policy=args.policy,
                           retention_seconds=retention,
                           strength=args.strength)
-    _save_state(root, store, fs)
+    _save_state(root, store)
     print(f"SN {receipt.sn}  ({len(payload)} bytes, policy={args.policy}, "
           f"strength={args.strength}, "
           f"scpu cost {receipt.costs['scpu'] * 1000:.2f} virtual ms)")
@@ -182,7 +175,7 @@ def cmd_write(args) -> int:
 
 
 def cmd_cat(args) -> int:
-    root, store, fs, ca = _open(args.directory)
+    root, store, ca = _open(args.directory)
     client = store.make_client(ca)
     result = store.read(args.sn)
     verified = client.verify_read(result, args.sn)
@@ -197,56 +190,8 @@ def cmd_cat(args) -> int:
     return 0
 
 
-def cmd_fs_put(args) -> int:
-    root, store, fs, ca = _open(args.directory)
-    content = Path(args.file).read_bytes()
-    if args.policy:
-        directory = args.path.rsplit("/", 1)[0] or "/"
-        fs.set_directory_policy(directory, args.policy)
-    entry = (fs.append(args.path, content) if args.append
-             else fs.write(args.path, content))
-    _save_state(root, store, fs)
-    print(f"{entry.path} v{entry.version} -> SN {entry.sn} "
-          f"({entry.size} bytes, policy={entry.policy})")
-    return 0
-
-
-def cmd_fs_cat(args) -> int:
-    root, store, fs, ca = _open(args.directory)
-    client = store.make_client(ca)
-    verified = fs.verified_read(client, args.path, version=args.version)
-    sys.stdout.buffer.write(verified.content)
-    sys.stdout.buffer.flush()
-    print(f"\n[{verified.path} v{verified.version}, SN {verified.sn}, "
-          f"verified]", file=sys.stderr)
-    return 0
-
-
-def cmd_fs_ls(args) -> int:
-    root, store, fs, ca = _open(args.directory)
-    for name in fs.listdir(args.path):
-        print(name)
-    return 0
-
-
-def cmd_fs_history(args) -> int:
-    """Show every committed version of a path (survives unlink)."""
-    root, store, fs, ca = _open(args.directory)
-    versions = fs.versions(args.path)
-    if not versions:
-        print(f"no history for {args.path}", file=sys.stderr)
-        return 1
-    for entry in versions:
-        print(f"v{entry.version}  SN {entry.sn}  {entry.size} bytes  "
-              f"policy={entry.policy}  created_at={entry.created_at:.0f}")
-    if not fs.exists(args.path):
-        print("(currently unlinked — versions remain auditable by number)",
-              file=sys.stderr)
-    return 0
-
-
 def cmd_status(args) -> int:
-    root, store, fs, ca = _open(args.directory)
+    root, store, ca = _open(args.directory)
     client = store.make_client(ca)
     overview = StoreAuditor(store, client).compliance_overview()
     print(f"store:          {root}")
@@ -258,16 +203,16 @@ def cmd_status(args) -> int:
 
 
 def cmd_maintain(args) -> int:
-    root, store, fs, ca = _open(args.directory)
+    root, store, ca = _open(args.directory)
     summary = store.maintenance()
-    _save_state(root, store, fs)
+    _save_state(root, store)
     for key, value in summary.items():
         print(f"{key + ':':22s}{value}")
     return 0
 
 
 def cmd_audit(args) -> int:
-    root, store, fs, ca = _open(args.directory)
+    root, store, ca = _open(args.directory)
     client = store.make_client(ca)
     store.windows.refresh_current(force=True)
     report = StoreAuditor(store, client).sweep()
@@ -287,7 +232,7 @@ def cmd_audit(args) -> int:
 
 def cmd_attest(args) -> int:
     """Print (and optionally chain-verify) an SCPU attestation."""
-    root, store, fs, ca = _open(args.directory)
+    root, store, ca = _open(args.directory)
     attestation = store.scpu.attest()
     blob = json.dumps(attestation.to_dict())
     if args.previous:
@@ -323,12 +268,6 @@ def cmd_shard_bench(args) -> int:
     ``benchmarks/BENCH_shard.json``.
     """
     from repro import perf
-
-    if (args.shards < 1 or args.records < 1 or args.batch < 1
-            or args.workers < 1 or args.record_size < 0):
-        print("shard-bench: --shards, --records, --batch and --workers "
-              "must be >= 1, --record-size >= 0", file=sys.stderr)
-        return 2
 
     bench = perf.bench_shard(shards=args.shards, batch=args.batch,
                              records=args.records,
@@ -370,10 +309,6 @@ def cmd_faults_demo(args) -> int:
     from repro.storage.journal import MemoryIntentJournal
 
     shards = args.shards
-    if shards < 2:
-        print("faults-demo: --shards must be >= 2 (one dies)",
-              file=sys.stderr)
-        return 2
     plans = [FaultPlan(seed=args.seed + i, transient_rate=args.fault_rate)
              for i in range(shards)]
     plans[1].tamper(after_ops=args.tamper_after)
@@ -464,9 +399,6 @@ def cmd_obs(args) -> int:
     from repro.sim.tracing import TraceRecorder
     from repro.sim.workload import WorkRequest
 
-    if args.shards < 1 or args.records < 1:
-        print("obs: --shards and --records must be >= 1", file=sys.stderr)
-        return 2
     if args.tamper_after > 0 and args.shards < 2:
         print("obs: --tamper-after needs --shards >= 2 (one card dies)",
               file=sys.stderr)
@@ -520,42 +452,18 @@ def cmd_obs(args) -> int:
     # store metrics deliberately stay OFF the bus — only the
     # replication/recovery layers observe here — so the store counters
     # keep describing the main store alone.
-    from repro.core.sharded import ShardedWormStore
-    from repro.recovery import (ReplicaSite, ReplicatedIntentJournal,
-                                ReplicationPump, ReplicationTransport,
-                                SiteRecovery)
-    from repro.sim.manual_clock import ManualClock
-    from repro.storage.journal import MemoryIntentJournal
+    from repro.recovery import SiteRecovery
+    from repro.recovery.drill import build_primary, build_standby, catch_up
     ca = CertificateAuthority(bits=512)
-    mini_clock = ManualClock()
-    mini_transport = ReplicationTransport(
-        plan=FaultPlan(seed=args.seed, transient_rate=0.25), obs=bus)
-    mini_replica = ReplicaSite()
-    mini = ShardedWormStore.build(
-        shard_count=2, keyring=demo_keyring(), clock=mini_clock,
-        config=StoreConfig(group_commit_size=4),
-        journal=ReplicatedIntentJournal(
-            MemoryIntentJournal(), mini_transport, mini_replica,
-            clock=mini_clock, obs=bus))
-    mini_pump = ReplicationPump(mini, mini_transport, mini_replica,
-                                ca=ca, obs=bus)
+    mini, _, mini_replica, mini_pump = build_primary(
+        ca=ca, plan=FaultPlan(seed=args.seed, transient_rate=0.25), obs=bus)
     for batch in range(3):
         mini.write_batch([b"obs-replica-%d-%d" % (batch, i)
                           for i in range(4)], retention_seconds=3600.0)
         mini.advance_clocks(1.0)
         mini_pump.pump()
-    for _ in range(60):
-        if (mini_pump.unacked_count == 0
-                and mini_transport.in_flight == 0):
-            break
-        mini.advance_clocks(2.0)
-        mini_pump.pump()
-    SiteRecovery(
-        mini_replica,
-        ShardedWormStore.build(shard_count=2, keyring=demo_keyring(),
-                               clock=ManualClock(),
-                               config=StoreConfig(group_commit_size=4)),
-        ca, obs=bus).run()
+    catch_up(mini_pump, cycles=60)
+    SiteRecovery(mini_replica, build_standby(), ca, obs=bus).run()
 
     snapshot = store.telemetry_snapshot()
 
@@ -622,44 +530,27 @@ def cmd_recover(args) -> int:
     must terminate in ``TamperedError`` (exit 2 if the lying replica is
     imported instead).
     """
-    from repro import demo_keyring
     from repro.core.config import StoreConfig
-    from repro.core.locator import RecordLocator
-    from repro.core.sharded import ShardedWormStore
-    from repro.crypto.keys import CertificateAuthority
     from repro.faults import FaultPlan
     from repro.obs import TelemetryBus
-    from repro.recovery import (ReplicaSite, ReplicatedIntentJournal,
-                                ReplicationPump, ReplicationTransport,
-                                SiteRecovery)
-    from repro.sim.manual_clock import ManualClock
-    from repro.storage.journal import MemoryIntentJournal
-
-    if args.records < 1 or args.shards < 1:
-        print("recover: --records and --shards must be >= 1",
-              file=sys.stderr)
-        return 2
+    from repro.recovery import SiteRecovery
+    from repro.recovery.drill import (audit_zero_loss, build_primary,
+                                      build_standby, catch_up,
+                                      flip_replicated_byte)
 
     bus = TelemetryBus()
     ca = CertificateAuthority(bits=512)
-    clock = ManualClock()
     plan = (FaultPlan(seed=args.seed, transient_rate=args.fault_rate)
             if args.fault_rate > 0 else None)
-    transport = ReplicationTransport(plan=plan, obs=bus)
-    replica = ReplicaSite()
-    journal = ReplicatedIntentJournal(
-        MemoryIntentJournal(), transport, replica, clock=clock, obs=bus)
-    store = ShardedWormStore.build(
-        shard_count=args.shards, keyring=demo_keyring(), clock=clock,
-        config=StoreConfig(group_commit_size=args.group_commit),
-        journal=journal)
-    pump = ReplicationPump(store, transport, replica, ca=ca, obs=bus)
+    config = StoreConfig(shard_count=args.shards,
+                         group_commit_size=args.group_commit)
+    store, transport, replica, pump = build_primary(config, ca=ca, plan=plan,
+                                                    obs=bus)
 
     ledger = {}
     written = chunks = 0
-    chunk = max(1, args.group_commit)
     while written < args.records:
-        count = min(chunk, args.records - written)
+        count = min(args.group_commit, args.records - written)
         payloads = [b"recover-%06d|" % (written + i)
                     + b"." * args.record_size for i in range(count)]
         receipts = store.write_batch(payloads, retention_seconds=86_400.0)
@@ -675,30 +566,14 @@ def cmd_recover(args) -> int:
     # still in flight), so pump after the last batch until they land.
     # With --corrupt the standby must catch up completely before its
     # disk starts lying, so the lie is the only thing DISCOVER can see.
-    for _ in range(200):
-        caught_up = pump.unacked_count == 0 and transport.in_flight == 0
-        if replica.source_certificates and (caught_up or not args.corrupt):
-            break
-        store.advance_clocks(2.0)
-        pump.pump()
+    catch_up(pump, cycles=200, keep_tail=not args.corrupt)
     shipped_tail = pump.unacked_count > 0 or transport.in_flight > 0
     del store, pump, transport  # the site is gone
 
     if args.corrupt:
-        # One flipped bit on the standby's (untrusted) disk.
-        for shard_id in replica.shard_ids:
-            history = replica._shards[shard_id].history
-            payload = next((p for p in history if p.get("blocks")), None)
-            if payload is not None:
-                key = sorted(payload["blocks"])[0]
-                data = payload["blocks"][key]
-                payload["blocks"][key] = bytes([data[0] ^ 0x01]) + data[1:]
-                break
+        flip_replicated_byte(replica)
 
-    standby = ShardedWormStore.build(
-        shard_count=args.shards, keyring=demo_keyring(),
-        clock=ManualClock(),
-        config=StoreConfig(group_commit_size=args.group_commit))
+    standby = build_standby(config)
     recovery = SiteRecovery(replica, standby, ca,
                             link_bandwidth=args.link_bandwidth, obs=bus)
 
@@ -720,26 +595,7 @@ def cmd_recover(args) -> int:
         return 2
 
     report = recovery.run()
-    client = standby.make_client(ca)
-    lost = []
-    verified_sns = set()
-    for old_packed, payload in ledger.items():
-        new_packed = report.locator_mapping.get(old_packed, old_packed)
-        try:
-            if standby.read_record(new_packed) != payload:
-                lost.append((old_packed, "payload mismatch"))
-                continue
-        except WormError as exc:  # wormlint: disable=W004,W008 - drill verdict: unreadable acknowledged write is the reported loss
-            lost.append((old_packed, f"unreadable: {exc}"))
-            continue
-        locator = RecordLocator.unpack(new_packed)
-        if (locator.shard_id, locator.sn) not in verified_sns:
-            verified_sns.add((locator.shard_id, locator.sn))
-            verified = client.verify_read(
-                standby.shard(locator.shard_id).read(locator.sn),
-                locator.sn)
-            if verified.status != "active":
-                lost.append((old_packed, f"verify: {verified.status}"))
+    lost = audit_zero_loss(standby, ca, ledger, report).lost
 
     rows = [
         ["records acknowledged", str(len(ledger))],
@@ -793,11 +649,6 @@ def cmd_tenant_bench(args) -> int:
     from repro.obs import TelemetryBus
     from repro.service import ServiceRequest, TenantConfig, WormService
     from repro.sim.workload import FixedSize, MultiTenantArrivals
-
-    if args.shards < 1 or args.tenants < 1 or args.days < 1:
-        print("tenant-bench: --shards, --tenants and --days must be >= 1",
-              file=sys.stderr)
-        return 2
 
     bus = TelemetryBus()
     store = ShardedWormStore.build(
@@ -1054,7 +905,7 @@ def cmd_perf(args) -> int:
 
 def cmd_report(args) -> int:
     from repro.core.report import generate_report
-    root, store, fs, ca = _open(args.directory)
+    root, store, ca = _open(args.directory)
     client = store.make_client(ca)
     # Persistent stores run on the system clock, so the store's "virtual"
     # time *is* the calendar — pass it as the report's wall stamp.
@@ -1067,13 +918,17 @@ def cmd_report(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _at_least(minimum: float, kind=int, strict: bool = False):
-    """An argparse ``type=``: a *kind* number >= *minimum* (> if *strict*).
+def _at_least(minimum: float, kind=int, strict: bool = False,
+              below: Optional[float] = None):
+    """An argparse ``type=``: a *kind* number >= *minimum* (> if *strict*),
+    and < *below* when given.
 
     A value out of range is a usage error: argparse prints the usage
     line and the rule, and exits 2.
     """
     rule = f"must be {'>' if strict else '>='} {minimum}"
+    if below is not None:
+        rule += f" and < {below}"
 
     def parse(text: str):
         try:
@@ -1081,7 +936,9 @@ def _at_least(minimum: float, kind=int, strict: bool = False):
         except ValueError:
             raise argparse.ArgumentTypeError(  # wormlint: disable=W005 - argparse's usage-error type: exit 2 with the rule
                 f"invalid {kind.__name__} value: {text!r}") from None
-        if value < minimum or (strict and value == minimum):
+        in_range = ((value > minimum if strict else value >= minimum)
+                    and (below is None or value < below))
+        if not in_range:
             raise argparse.ArgumentTypeError(f"{rule}, got {text}")  # wormlint: disable=W005 - argparse's usage-error type: exit 2 with the rule
         return value
 
@@ -1114,32 +971,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("sn", type=int)
     p.set_defaults(func=cmd_cat)
 
-    p = sub.add_parser("fs-put", help="write a file into the WORM namespace")
-    p.add_argument("directory")
-    p.add_argument("path", help="absolute WORM-fs path, e.g. /ledger/q3.csv")
-    p.add_argument("file", help="local file to ingest")
-    p.add_argument("--policy", default=None,
-                   help="bind this policy to the parent directory first")
-    p.add_argument("--append", action="store_true")
-    p.set_defaults(func=cmd_fs_put)
-
-    p = sub.add_parser("fs-cat", help="read + verify a WORM-fs file")
-    p.add_argument("directory")
-    p.add_argument("path")
-    p.add_argument("--version", type=int, default=None)
-    p.set_defaults(func=cmd_fs_cat)
-
-    p = sub.add_parser("fs-ls", help="list a WORM-fs directory")
-    p.add_argument("directory")
-    p.add_argument("path", nargs="?", default="/")
-    p.set_defaults(func=cmd_fs_ls)
-
-    p = sub.add_parser("fs-history",
-                       help="full version history of a WORM-fs path")
-    p.add_argument("directory")
-    p.add_argument("path")
-    p.set_defaults(func=cmd_fs_history)
-
     p = sub.add_parser("status", help="compliance overview")
     p.add_argument("directory")
     p.set_defaults(func=cmd_status)
@@ -1160,25 +991,27 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("shard-bench",
                        help="virtual-time sharded-scaling benchmark "
                             "(in-memory; no store directory needed)")
-    p.add_argument("--shards", type=int, default=4)
-    p.add_argument("--batch", type=int, default=8,
+    p.add_argument("--shards", type=_at_least(1), default=4)
+    p.add_argument("--batch", type=_at_least(1), default=8,
                    help="group-commit batch size for the batched run")
-    p.add_argument("--records", type=int, default=240,
+    p.add_argument("--records", type=_at_least(1), default=240,
                    help="records per measured run")
-    p.add_argument("--record-size", type=int, default=1024)
-    p.add_argument("--workers", type=int, default=64,
+    p.add_argument("--record-size", type=_at_least(0), default=1024)
+    p.add_argument("--workers", type=_at_least(1), default=64,
                    help="closed-loop client concurrency")
     p.set_defaults(func=cmd_shard_bench)
 
     p = sub.add_parser("faults-demo",
                        help="replay a canned fault plan; exit 2 on record "
                             "loss (in-memory; no store directory needed)")
-    p.add_argument("--shards", type=int, default=4)
-    p.add_argument("--records", type=int, default=120)
+    p.add_argument("--shards", type=_at_least(2), default=4,
+                   help="failure domains (one card dies)")
+    p.add_argument("--records", type=_at_least(1), default=120)
     p.add_argument("--record-size", type=_at_least(0), default=512)
-    p.add_argument("--fault-rate", type=float, default=0.08,
+    p.add_argument("--fault-rate", type=_at_least(0, float, below=1),
+                   default=0.08,
                    help="per-op transient fault probability per shard")
-    p.add_argument("--tamper-after", type=int, default=12,
+    p.add_argument("--tamper-after", type=_at_least(1), default=12,
                    help="SCPU ops before shard 1's card zeroizes")
     p.add_argument("--seed", type=int, default=40,
                    help="base RNG seed for the per-shard fault plans")
@@ -1188,12 +1021,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run a short sharded workload and export its "
                             "telemetry (in-memory; exit 2 on a tenant "
                             "accounting mismatch or schema violation)")
-    p.add_argument("--shards", type=int, default=2)
-    p.add_argument("--records", type=int, default=48)
+    p.add_argument("--shards", type=_at_least(1), default=2)
+    p.add_argument("--records", type=_at_least(1), default=48)
     p.add_argument("--record-size", type=_at_least(0), default=512)
-    p.add_argument("--fault-rate", type=float, default=0.05,
+    p.add_argument("--fault-rate", type=_at_least(0, float, below=1),
+                   default=0.05,
                    help="per-op transient fault probability per shard")
-    p.add_argument("--tamper-after", type=int, default=0,
+    p.add_argument("--tamper-after", type=_at_least(0), default=0,
                    help="SCPU ops before shard 1's card zeroizes "
                         "(0 = no tamper)")
     p.add_argument("--seed", type=int, default=71,
@@ -1211,15 +1045,17 @@ def build_parser() -> argparse.ArgumentParser:
                             "standby, kill the site mid-stream, rebuild "
                             "with verified recovery; exit 2 on loss, "
                             "laundered tamper, or RTO breach (in-memory)")
-    p.add_argument("--shards", type=int, default=2)
-    p.add_argument("--records", type=int, default=400)
-    p.add_argument("--record-size", type=int, default=64)
-    p.add_argument("--group-commit", type=int, default=8)
-    p.add_argument("--fault-rate", type=float, default=0.05,
+    p.add_argument("--shards", type=_at_least(1), default=2)
+    p.add_argument("--records", type=_at_least(1), default=400)
+    p.add_argument("--record-size", type=_at_least(0), default=64)
+    p.add_argument("--group-commit", type=_at_least(1), default=8)
+    p.add_argument("--fault-rate", type=_at_least(0, float, below=1),
+                   default=0.05,
                    help="transient loss rate on the replication WAN")
-    p.add_argument("--link-bandwidth", type=float, default=1e6,
+    p.add_argument("--link-bandwidth", type=_at_least(0, float, strict=True),
+                   default=1e6,
                    help="recovery download bandwidth (bytes/s, virtual)")
-    p.add_argument("--rto-bound", type=float, default=1800.0,
+    p.add_argument("--rto-bound", type=_at_least(0, float), default=1800.0,
                    help="virtual-seconds recovery-time objective")
     p.add_argument("--corrupt", action="store_true",
                    help="flip one replicated byte; the drill then "
@@ -1231,33 +1067,33 @@ def build_parser() -> argparse.ArgumentParser:
                        help="open-loop multi-tenant service benchmark in "
                             "virtual time; exit 2 on lost writes or "
                             "telemetry mismatch (in-memory)")
-    p.add_argument("--shards", type=int, default=2)
-    p.add_argument("--tenants", type=int, default=3)
-    p.add_argument("--days", type=int, default=1)
-    p.add_argument("--hour-seconds", type=_at_least(0, float, strict=True),
-                   default=2.0,
+    positive = _at_least(0, float, strict=True)
+    p.add_argument("--shards", type=_at_least(1), default=2)
+    p.add_argument("--tenants", type=_at_least(1), default=3)
+    p.add_argument("--days", type=_at_least(1), default=1)
+    p.add_argument("--hour-seconds", type=positive, default=2.0,
                    help="virtual seconds per diurnal 'hour' (compresses "
                         "the day; rates stay per-second)")
-    p.add_argument("--night-rate", type=float, default=0.5)
-    p.add_argument("--day-rate", type=float, default=2.0)
-    p.add_argument("--burst-rate", type=float, default=40.0,
+    p.add_argument("--night-rate", type=positive, default=0.5)
+    p.add_argument("--day-rate", type=positive, default=2.0)
+    p.add_argument("--burst-rate", type=positive, default=40.0,
                    help="end-of-day burst arrival rate (set above "
                         "tenants*rate to exercise deferral)")
-    p.add_argument("--burst-seconds", type=float, default=6.0)
-    p.add_argument("--rate", type=float, default=4.0,
+    p.add_argument("--burst-seconds", type=_at_least(0, float), default=6.0)
+    p.add_argument("--rate", type=positive, default=4.0,
                    help="per-tenant sustained admission rate (tokens/s)")
-    p.add_argument("--burst-tokens", type=int, default=8,
+    p.add_argument("--burst-tokens", type=_at_least(1), default=8,
                    help="per-tenant token-bucket depth")
-    p.add_argument("--max-deferred", type=int, default=48,
+    p.add_argument("--max-deferred", type=_at_least(0), default=48,
                    help="per-tenant deferred-backlog cap (beyond it: "
                         "429 backlog-full)")
     p.add_argument("--record-size", type=_at_least(0), default=256)
-    p.add_argument("--skew", type=float, default=1.1,
+    p.add_argument("--skew", type=_at_least(0, float), default=1.1,
                    help="Zipf skew of tenant popularity")
-    p.add_argument("--users", type=int, default=1_000_000,
+    p.add_argument("--users", type=_at_least(1), default=1_000_000,
                    help="simulated end users per tenant")
-    p.add_argument("--group-commit", type=int, default=8)
-    p.add_argument("--flush-interval", type=float, default=5.0,
+    p.add_argument("--group-commit", type=_at_least(1), default=8)
+    p.add_argument("--flush-interval", type=_at_least(0, float), default=5.0,
                    help="virtual seconds between forced group commits")
     p.add_argument("--seed", type=int, default=11)
     p.set_defaults(func=cmd_tenant_bench)
@@ -1268,9 +1104,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shards", type=_at_least(1), default=2)
     p.add_argument("--tenants", default="default",
                    help="comma-separated tenant names")
-    p.add_argument("--rate", type=float, default=100.0)
-    p.add_argument("--burst-tokens", type=int, default=200)
-    p.add_argument("--max-deferred", type=int, default=256)
+    p.add_argument("--rate", type=_at_least(0, float, strict=True),
+                   default=100.0)
+    p.add_argument("--burst-tokens", type=_at_least(1), default=200)
+    p.add_argument("--max-deferred", type=_at_least(0), default=256)
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("perf",

@@ -66,11 +66,6 @@ from repro.core.proofs import (
     ProofKind,
     ReadResult,
 )
-from repro.core.replication import (
-    DivergenceReport,
-    MirroredWormStore,
-    MirroredWrite,
-)
 from repro.core.report import ComplianceReport, generate_report
 from repro.core.retention import RetentionMonitor, Vexp
 from repro.core.retry import (
@@ -105,9 +100,6 @@ __all__ = [
     "DepositOutcome",
     "EncryptedRead",
     "EncryptedWormStore",
-    "DivergenceReport",
-    "MirroredWormStore",
-    "MirroredWrite",
     "ComplianceReport",
     "generate_report",
     "VerifiedRead",

@@ -28,6 +28,7 @@ from repro.storage.vrd import VirtualRecordDescriptor
 
 __all__ = [
     "ProofKind",
+    "READ_STATUS",
     "ActiveProof",
     "DeletionProofResponse",
     "BaseBoundProof",
@@ -46,6 +47,16 @@ class ProofKind:
     BELOW_BASE = "below-base"
     DELETION_WINDOW = "deletion-window"
     NEVER_ALLOCATED = "never-allocated"
+
+
+#: The :class:`ReadResult` status each proof case answers with.
+READ_STATUS = {
+    ProofKind.ACTIVE: "active",
+    ProofKind.DELETION_PROOF: "deleted",
+    ProofKind.BELOW_BASE: "deleted",
+    ProofKind.DELETION_WINDOW: "deleted",
+    ProofKind.NEVER_ALLOCATED: "never-allocated",
+}
 
 
 @dataclass(frozen=True)
@@ -119,7 +130,8 @@ class ReadResult:
     in the RDL for a read by serial number, or — for a read by locator —
     the one named record, with ``record_path`` locating it in the VR.
     In every case ``proof`` carries the construct(s) the client must
-    verify before believing the status.
+    verify before believing the status (``None`` from a read with
+    ``proven=False``, which builds none).
     """
 
     sn: int

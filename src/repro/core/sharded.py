@@ -647,25 +647,26 @@ class ShardedWormStore:
 
     # ------------------------------------------------------------------- reads
 
-    def read(self, locator: LocatorLike) -> ReadResult:
+    def read(self, locator: LocatorLike, proven: bool = True) -> ReadResult:
         """Serve the record *locator* names, with its proof, from its shard.
 
         The result is the shard's ordinary :class:`ReadResult` for one
         record: its payload and its path in the VR's data tree.  Verify
         it with ``client.verify_read(result, locator)``; the whole VR
-        is ``store.shard(shard_id).read(sn)``.
+        is ``store.shard(shard_id).read(sn)``.  ``proven=False`` builds
+        no proof (see :meth:`StrongWormStore.read`).
         """
         resolved = self._resolve(locator)
         return self._stores[resolved.shard_id].read(
-            resolved.sn, record_index=resolved.record_index)
+            resolved.sn, record_index=resolved.record_index, proven=proven)
 
     def read_record(self, locator: LocatorLike) -> bytes:
         """The one payload *locator* names (unverified convenience).
 
-        Reads one block whatever the group size; auditors should prefer
-        :meth:`read` + client verification.
+        Reads one block whatever the group size and builds no proof;
+        auditors should prefer :meth:`read` + client verification.
         """
-        result = self.read(locator)
+        result = self.read(locator, proven=False)
         if result.status != "active":
             raise WormError(
                 f"record {self._resolve(locator).pack()} is not active "

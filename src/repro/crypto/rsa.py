@@ -341,6 +341,13 @@ class RsaPublicKey:
     n: int
     e: int
     bits: int
+    # Derived once from (n, e); not part of the key's identity or repr.
+    _fingerprint: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        blob = f"{self.n:x}:{self.e:x}".encode()
+        object.__setattr__(self, "_fingerprint",
+                           hashlib.sha256(blob).hexdigest()[:16])
 
     @property
     def byte_length(self) -> int:
@@ -368,8 +375,7 @@ class RsaPublicKey:
 
     def fingerprint(self) -> str:
         """Short stable identifier for this key (hex SHA-256 prefix)."""
-        blob = f"{self.n:x}:{self.e:x}".encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
+        return self._fingerprint
 
     def to_dict(self) -> dict:
         return {"n": f"{self.n:x}", "e": self.e, "bits": self.bits}
@@ -389,24 +395,24 @@ class RsaPrivateKey:
     p: int
     q: int
     bits: int
-    # CRT exponents and coefficient, derived once from the fields above;
-    # not part of the key's identity, repr or serialized form.
+    # CRT exponents and coefficient, and the public half, derived once
+    # from the fields above; not part of the key's identity, repr or
+    # serialized form.
     dp: int = field(init=False, repr=False, compare=False)
     dq: int = field(init=False, repr=False, compare=False)
     qinv: int = field(init=False, repr=False, compare=False)
+    public_key: RsaPublicKey = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dp", self.d % (self.p - 1))
         object.__setattr__(self, "dq", self.d % (self.q - 1))
         object.__setattr__(self, "qinv", modinv(self.q, self.p))
+        object.__setattr__(self, "public_key",
+                           RsaPublicKey(n=self.n, e=self.e, bits=self.bits))
 
     @property
     def byte_length(self) -> int:
         return (self.bits + 7) // 8
-
-    @property
-    def public_key(self) -> RsaPublicKey:
-        return RsaPublicKey(n=self.n, e=self.e, bits=self.bits)
 
     def sign(self, message: bytes, hash_name: str = "sha256") -> bytes:
         """Produce a deterministic PKCS#1 v1.5 signature on *message*."""

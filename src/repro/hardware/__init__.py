@@ -7,7 +7,6 @@ from repro.hardware.calibration import (
     CryptoProfile,
     DiskProfile,
 )
-from repro.hardware.cca import CcaFacade
 from repro.hardware.device import OpMeter, TimedDevice
 from repro.hardware.disk import DiskDevice
 from repro.hardware.host import HostCPU
@@ -21,7 +20,6 @@ __all__ = [
     "SCPU_IBM_4764",
     "CryptoProfile",
     "DiskProfile",
-    "CcaFacade",
     "OpMeter",
     "TimedDevice",
     "DiskDevice",

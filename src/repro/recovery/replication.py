@@ -68,7 +68,6 @@ REPLICATION_COUNTERS = (
     "replication.dropped",
     "replication.bytes_shipped",
     "replication.journal_ops",
-    "replication.divergences",
 )
 
 #: Replication-lag histogram buckets (virtual seconds): sub-second for a
@@ -79,8 +78,8 @@ LAG_BUCKETS = (0.1, 0.5, 1.0, 5.0, 15.0, 60.0, 300.0, 900.0)
 def declare_replication_metrics(bus: TelemetryBus) -> None:
     """Pre-declare the replication counters and lag histogram on *bus*.
 
-    Idempotent; shared by the pump, the journal mirror, and the
-    divergence audit so a snapshot always carries the full metric set
+    Idempotent; shared by the transport, the pump and the journal
+    mirror so a snapshot always carries the full metric set
     (the obs schema requires the names even when their value is zero).
     """
     if not bus.enabled:
@@ -539,20 +538,17 @@ class ReplicationPump:
 
     # -- the cycle ---------------------------------------------------------------
 
-    def pump(self, now: Optional[float] = None) -> Dict[str, int]:
-        """One replication cycle; returns a small progress summary."""
+    def pump(self, now: Optional[float] = None) -> None:
+        """One replication cycle."""
         if now is None:
             now = self.store.now
-        applied = 0
         for artifact in self.transport.deliver(now):
             count = self.replica.apply(artifact)
-            applied += count
             if count:
                 self.obs.inc("replication.artifacts_applied", count)
                 self.obs.observe("replication.lag_seconds",
                                  max(0.0, now - artifact.created_at),
                                  buckets=LAG_BUCKETS)
-        retransmitted = 0
         for stream, pending in self._unacked.items():
             frontier = self.replica.ack(stream)
             for seq in [s for s in pending if s <= frontier]:
@@ -562,9 +558,7 @@ class ReplicationPump:
                 if now - last_sent >= self.retransmit_after:
                     pending[seq] = (artifact, now)
                     if self.transport.send(artifact, now):
-                        retransmitted += 1
                         self.obs.inc("replication.retransmits")
-        shipped = 0
         if self.ca is not None and not self._certs_shipped:
             certs = tuple(self.store.certificates(self.ca))
             self._ship(ReplicationArtifact(
@@ -573,20 +567,14 @@ class ReplicationPump:
                 payload={"kind": "certs", "certificates": certs},
                 size_bytes=256 * len(certs)), now)
             self._certs_shipped = True
-            shipped += 1
         for shard_id in range(self.store.shard_count):
             if (now - self._last_snapshot.get(shard_id, float("-inf"))
                     >= self.snapshot_interval):
                 self._ship(self._snapshot_for(shard_id, now), now)
-                shipped += 1
             else:
                 delta = self._delta_for(shard_id, now)
                 if delta is not None:
                     self._ship(delta, now)
-                    shipped += 1
-        return {"applied": applied, "shipped": shipped,
-                "retransmitted": retransmitted,
-                "in_flight": self.transport.in_flight}
 
     @property
     def unacked_count(self) -> int:

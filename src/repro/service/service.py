@@ -387,7 +387,7 @@ class WormService:
         self._take_token(state, now)
         resolved = self._unscope(state, params.get("locator"))
         self.obs.inc("service.reads")
-        result = self._store.read(resolved)
+        result = self._store.read(resolved, proven=False)
         if result.status != "active":
             raise MissingRecordError(
                 f"record {self._scope(state, resolved.pack())} "

@@ -20,20 +20,16 @@ import json
 
 import pytest
 
-from repro import demo_keyring
 from repro.core.config import StoreConfig
 from repro.core.errors import TamperedError
-from repro.core.locator import RecordLocator
-from repro.core.sharded import ShardedWormStore
 from repro.faults import FaultPlan
 from repro.obs import TelemetryBus
-from repro.recovery import (RecoveryStage, ReplicaSite,
-                            ReplicatedIntentJournal, ReplicationPump,
-                            ReplicationTransport, SiteRecovery)
+from repro.recovery import RecoveryStage, SiteRecovery
+from repro.recovery.drill import (audit_zero_loss, build_primary,
+                                  build_standby, catch_up,
+                                  flip_replicated_byte)
 from repro.service import ServiceRequest, TenantConfig, WormService
-from repro.sim.manual_clock import ManualClock
 from repro.sim.workload import FixedSize, MultiTenantArrivals
-from repro.storage.journal import MemoryIntentJournal
 
 pytestmark = pytest.mark.chaos
 
@@ -48,17 +44,7 @@ KILL_AT = 101_000      # offered records before the site dies; up to one
 PUMP_EVERY = 4         # batches between replication cycles (leaves a tail)
 
 
-def build_primary(plan=None, bus=None):
-    clock = ManualClock()
-    transport = ReplicationTransport(plan=plan, obs=bus)
-    replica = ReplicaSite()
-    journal = ReplicatedIntentJournal(
-        MemoryIntentJournal(), transport, replica, clock=clock, obs=bus)
-    store = ShardedWormStore.build(
-        shard_count=2, keyring=demo_keyring(), clock=clock,
-        config=StoreConfig(group_commit_size=64, observe=bus),
-        journal=journal)
-    return store, transport, replica
+SITE = StoreConfig(shard_count=2, group_commit_size=64)
 
 
 def build_service(store, ca):
@@ -120,8 +106,8 @@ class TestSiteLossDrill:
     def test_full_site_kill_mid_burst_loses_nothing(self, ca):
         plan = FaultPlan(transient_rate=0.02, seed=11)  # flaky WAN
         bus = TelemetryBus()
-        store, transport, replica = build_primary(plan=plan, bus=bus)
-        pump = ReplicationPump(store, transport, replica, ca=ca, obs=bus)
+        store, transport, replica, pump = build_primary(
+            SITE.replace(observe=bus), ca=ca, plan=plan)
         service = build_service(store, ca)
 
         # Outstanding deferred tickets: smallco's bucket dies after 4.
@@ -151,9 +137,7 @@ class TestSiteLossDrill:
 
         # --- rebuild from the untrusted replica, crashing the recovery
         # process once after VERIFY and resuming from its checkpoint.
-        standby = ShardedWormStore.build(
-            shard_count=2, keyring=demo_keyring(), clock=ManualClock(),
-            config=StoreConfig(group_commit_size=64))
+        standby = build_standby(SITE)
         first = SiteRecovery(replica, standby, ca, obs=bus)
         while first.stage != RecoveryStage.REPLAY:
             first.step()
@@ -174,19 +158,11 @@ class TestSiteLossDrill:
         # on the rebuilt site to its original payload, and every VR it
         # landed in verifies against the *standby's* own proofs.
         service.promote(standby, report)
-        client = standby.make_client(ca)
-        verified_sns = set()
-        for scoped, payload in ledger.items():
-            packed = scoped.split("/", 1)[1]
-            new_packed = report.locator_mapping.get(packed, packed)
-            assert standby.read_record(new_packed) == payload
-            new = RecordLocator.unpack(new_packed)
-            if (new.shard_id, new.sn) not in verified_sns:
-                verified_sns.add((new.shard_id, new.sn))
-                verified = client.verify_read(
-                    standby.shard(new.shard_id).read(new.sn), new.sn)
-                assert verified.status == "active"
-        assert len(verified_sns) >= report.records_replayed
+        audit = audit_zero_loss(
+            standby, ca, {scoped.split("/", 1)[1]: payload
+                          for scoped, payload in ledger.items()}, report)
+        assert audit.lost == ()
+        assert audit.vrs_verified >= report.records_replayed
 
         # --- the dead site's deferred tickets redeem on the new one.
         standby.advance_clocks(10.0)
@@ -212,31 +188,16 @@ class TestSiteLossDrill:
 
 class TestCorruptedReplicaVariant:
     def test_lying_standby_is_terminal_not_laundered(self, ca):
-        store, transport, replica = build_primary()
-        pump = ReplicationPump(store, transport, replica, ca=ca)
+        store, transport, replica, pump = build_primary(SITE, ca=ca)
         service = build_service(store, ca)
         ledger = {}
         run_workload(service, store, pump, ledger, kill_at=2_000)
         # Let the standby catch up fully, then have its disk start lying.
-        for _ in range(60):
-            store.advance_clocks(2.0)
-            pump.pump()
-            if pump.unacked_count == 0 and transport.in_flight == 0:
-                break
+        catch_up(pump, cycles=60)
         assert replica.source_certificates
         # Flip one byte of one replicated payload block at the standby.
-        for shard_id in replica.shard_ids:
-            history = replica._shards[shard_id].history
-            payload = next((p for p in history if p.get("blocks")), None)
-            if payload is not None:
-                key = sorted(payload["blocks"])[0]
-                data = payload["blocks"][key]
-                payload["blocks"][key] = \
-                    bytes([data[0] ^ 0x01]) + data[1:]
-                break
-        standby = ShardedWormStore.build(
-            shard_count=2, keyring=demo_keyring(), clock=ManualClock(),
-            config=StoreConfig(group_commit_size=64))
+        flip_replicated_byte(replica)
+        standby = build_standby(SITE)
         recovery = SiteRecovery(replica, standby, ca)
         with pytest.raises(TamperedError):
             recovery.run()

@@ -1,5 +1,7 @@
 """Unit tests for signing keys, lifetimes, and the regulatory CA."""
 
+import hashlib
+
 import pytest
 
 from repro.crypto.envelope import Envelope, Purpose
@@ -10,6 +12,7 @@ from repro.crypto.keys import (
     SigningKey,
     security_lifetime,
 )
+from repro.crypto.rsa import RsaKeyPair, RsaPrivateKey, RsaPublicKey
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +65,18 @@ class TestSigningKey:
         assert signed.hash_name == "sha1"
         assert small.public.verify(env.canonical_bytes(), signed.signature,
                                    hash_name="sha1")
+
+    def test_public_half_and_fingerprint_are_derived_once(self):
+        # The textbook key n = 61 * 53, e = 17, d = 2753.
+        private = RsaPrivateKey(n=3233, e=17, d=2753, p=61, q=53, bits=12)
+        key = SigningKey(keypair=RsaKeyPair(private=private), role="s")
+        assert key.public is key.public
+        assert key.fingerprint == hashlib.sha256(
+            f"{3233:x}:{17:x}".encode()).hexdigest()[:16]
+        assert key.fingerprint == "4a25caad76aea6b7"
+        assert key.public == RsaPublicKey(n=3233, e=17, bits=12)
+        assert key.public.to_dict() == {"n": "ca1", "e": 17, "bits": 12}
+        assert "fingerprint" not in repr(key.public)
 
 
 class TestCertificateAuthority:

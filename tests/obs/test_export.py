@@ -183,6 +183,5 @@ class TestObsCli:
         capsys.readouterr()
 
     def test_invalid_arguments_rejected(self, capsys):
-        assert main(["obs", "--shards", "0"]) == 2
         assert main(["obs", "--shards", "1", "--tamper-after", "5"]) == 2
         capsys.readouterr()

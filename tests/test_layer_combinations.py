@@ -1,7 +1,7 @@
 """Cross-layer integration: the extensions compose, not just coexist.
 
-Each test stacks two or more layers (pool + fs, encryption + replication,
-blockdev + migration, dedup + fs, catalog + audit) and drives a real
+Each test stacks two or more layers (pool + encryption, encryption +
+replicas, blockdev + migration, catalog + audit) and drives a real
 scenario through the combined stack — the configurations a deployment
 would actually run.
 """
@@ -15,22 +15,6 @@ from repro.core.worm import StrongWormStore
 from repro.hardware.pool import ScpuPool
 from repro.hardware.scpu import SecureCoprocessor, Strength
 from repro.sim.manual_clock import ManualClock
-
-
-class TestPoolBackedFileSystem:
-    def test_fs_over_scpu_pool(self, ca):
-        from repro.fs import WormFileSystem
-        pool = ScpuPool.build(2, keyring=demo_keyring(), clock=ManualClock())
-        store = StrongWormStore(scpu=pool)
-        client = store.make_client(ca)
-        fs = WormFileSystem(store)
-        fs.set_directory_policy("/ledger", "sox")
-        fs.write("/ledger/q1.csv", b"row1\n")
-        fs.append("/ledger/q1.csv", b"row2\n")
-        verified = fs.verified_read(client, "/ledger/q1.csv")
-        assert verified.content == b"row1\nrow2\n"
-        # Both cards shared the signing work.
-        assert all(cost > 0 for cost in pool.per_card_cost_seconds())
 
 
 class TestPoolBackedEncryption:
@@ -111,24 +95,6 @@ class TestBlockDeviceMigration:
         assert new_dev.read_block_verified(client, 0).startswith(b"telemetry")
 
 
-class TestDedupedFileSystem:
-    def test_fs_attachments_deduped_via_shared_rds(self, store, client):
-        """fs.append + dedup compose through the shared-record machinery."""
-        from repro.core.dedup import DedupIndex
-        from repro.fs import WormFileSystem
-        fs = WormFileSystem(store)
-        index = DedupIndex(store)
-
-        attachment = b"A" * 4096
-        first = index.deposit([b"mail-1 body", attachment], policy="sec17a-4")
-        second = index.deposit([b"mail-2 body", attachment], policy="sec17a-4")
-        assert second.bytes_saved == 4096
-
-        fs.write("/inbox/mail-1", b"see attachment")
-        verified = fs.verified_read(client, "/inbox/mail-1")
-        assert verified.content == b"see attachment"
-
-
 class TestCatalogDrivenAudit:
     def test_targeted_sweep_from_catalog_query(self, store, client):
         """The examiner's flow: query the catalog, audit just those SNs."""
@@ -149,17 +115,3 @@ class TestCatalogDrivenAudit:
         verdicts = {sn: auditor._audit_one(sn).verdict for sn in targets}
         assert verdicts[victim.sn] == "violation"
         assert [v for v in verdicts.values()].count("active") == 2
-
-
-class TestEncryptedFileSystemStack:
-    def test_wormfs_on_encrypted_payloads(self, store, client):
-        """FS content encrypted at the application edge still verifies:
-        the WORM layers are oblivious to what the bytes mean."""
-        from repro.crypto.chacha import chacha20_xor
-        from repro.fs import WormFileSystem
-        fs = WormFileSystem(store)
-        key, nonce = b"\x11" * 32, b"\x07" * 12
-        secret = b"patient notes: confidential"
-        fs.write("/phi/notes", chacha20_xor(key, nonce, secret))
-        verified = fs.verified_read(client, "/phi/notes")
-        assert chacha20_xor(key, nonce, verified.content) == secret
