@@ -213,12 +213,12 @@ class AuthenticationScheme(abc.ABC):
         """The proof case for *sn* now (``"missing"`` = VRDT corruption)."""
 
     @abc.abstractmethod
-    def prove(self, sn: int, case: str) -> Tuple[str, object]:
-        """Build ``(status, proof)`` for a classified read.
+    def prove(self, sn: int, case: str) -> object:
+        """Build the proof for a classified read.
 
-        *status* is the :class:`~repro.core.proofs.ReadResult` status
-        (``"active"``, ``"deleted"``, ``"never-allocated"``); the store
-        attaches payloads for active reads.
+        The read's status follows from *case* alone
+        (:data:`~repro.core.proofs.READ_STATUS`); the store attaches
+        payloads for active reads.
         """
 
     # -- idle-period maintenance ---------------------------------------------
@@ -333,24 +333,22 @@ class WindowScheme(AuthenticationScheme):
     def classify(self, sn: int) -> str:
         return self.windows.classify(sn)
 
-    def prove(self, sn: int, case: str) -> Tuple[str, object]:
+    def prove(self, sn: int, case: str) -> object:
         store = self.store
         if case == "active":
-            return "active", ActiveProof(sn_current=store._stored_sn_current())
+            return ActiveProof(sn_current=store._stored_sn_current())
         if case == "deletion-proof":
             proof_env = store.vrdt.get_deletion_proof(sn)
             assert proof_env is not None
-            return "deleted", DeletionProofResponse(proof=proof_env)
+            return DeletionProofResponse(proof=proof_env)
         if case == "below-base":
-            return "deleted", BaseBoundProof(sn_base=store._stored_sn_base())
+            return BaseBoundProof(sn_base=store._stored_sn_base())
         if case == "deletion-window":
             window = store.vrdt.window_covering(sn)
             assert window is not None
-            return "deleted", DeletionWindowProof(lower=window.lower,
-                                                  upper=window.upper)
+            return DeletionWindowProof(lower=window.lower, upper=window.upper)
         if case == "never-allocated":
-            return "never-allocated", NeverAllocatedProof(
-                sn_current=store._stored_sn_current())
+            return NeverAllocatedProof(sn_current=store._stored_sn_current())
         raise WormError(f"window scheme cannot prove case {case!r}")
 
     def maintenance(self, compact: bool = True) -> Dict[str, int]:
@@ -475,22 +473,21 @@ class MerkleScheme(AuthenticationScheme):
             return "never-allocated"
         return "missing"
 
-    def prove(self, sn: int, case: str) -> Tuple[str, object]:
+    def prove(self, sn: int, case: str) -> object:
         if case == "active":
             index = self._index[sn]
             vrd = self.store.vrdt.get_active(sn)
             assert vrd is not None
             leaf = _merkle_leaf(sn, vrd.attr.canonical_bytes(), vrd.data_hash)
-            return "active", MerkleMembershipProof(
+            return MerkleMembershipProof(
                 signed_root=self._signed_root_or_die(),
                 leaf=leaf, path=self.tree.prove(index))
         if case == "deletion-proof":
             proof_env = self.store.vrdt.get_deletion_proof(sn)
             assert proof_env is not None
-            return "deleted", DeletionProofResponse(proof=proof_env)
+            return DeletionProofResponse(proof=proof_env)
         if case == "never-allocated":
-            return "never-allocated", MerkleFrontierProof(
-                signed_root=self._signed_root_or_die())
+            return MerkleFrontierProof(signed_root=self._signed_root_or_die())
         raise WormError(f"merkle scheme cannot prove case {case!r}")
 
     def maintenance(self, compact: bool = True) -> Dict[str, int]:
@@ -659,20 +656,20 @@ class AccumulatorScheme(AuthenticationScheme):
             return "never-allocated"
         return "missing"
 
-    def prove(self, sn: int, case: str) -> Tuple[str, object]:
+    def prove(self, sn: int, case: str) -> object:
         if case == "active":
             witness = self._directory_or_die().witness_for(sn)
             if witness is None:
                 raise WormError(
                     f"witness directory has no witness for active SN {sn}")
-            return "active", AccumulatorMembershipProof(
+            return AccumulatorMembershipProof(
                 signed_value=self._signed_value_or_die(), witness=witness)
         if case == "deletion-proof":
             proof_env = self.store.vrdt.get_deletion_proof(sn)
             assert proof_env is not None
-            return "deleted", DeletionProofResponse(proof=proof_env)
+            return DeletionProofResponse(proof=proof_env)
         if case == "never-allocated":
-            return "never-allocated", AccumulatorFrontierProof(
+            return AccumulatorFrontierProof(
                 signed_value=self._signed_value_or_die())
         raise WormError(f"accumulator scheme cannot prove case {case!r}")
 
