@@ -28,7 +28,7 @@ _RECORDS = 100
 def _store_with_mixed_expiry(keyring, threshold):
     store = StrongWormStore(
         scpu=SecureCoprocessor(keyring=fresh_keyring_copy(keyring)))
-    store.windows.compaction_threshold = threshold
+    store.auth.windows.compaction_threshold = threshold
     for i in range(_RECORDS):
         # Expired-run lengths cycle 2,4,6,8 between long-lived anchors,
         # so different thresholds compact different subsets.
@@ -47,7 +47,7 @@ def sweep(paper_keyring):
     for threshold in _THRESHOLDS:
         store = _store_with_mixed_expiry(paper_keyring, threshold)
         mark = store.scpu.meter.checkpoint()
-        windows = store.windows.compact_expired_runs()
+        windows = store.auth.windows.compact_expired_runs()
         scpu_cost = store.scpu.meter.delta(mark)
         rows[threshold] = {
             "windows": windows,

@@ -45,8 +45,8 @@ def compaction(paper_keyring):
     compacted = _mixed_retention_store(paper_keyring)
     before_bytes = uncompacted.vrdt.estimated_bytes()
     scpu_mark = compacted.scpu.meter.checkpoint()
-    windows_created = compacted.windows.compact_expired_runs()
-    compacted.windows.try_advance_base()
+    windows_created = compacted.auth.windows.compact_expired_runs()
+    compacted.auth.windows.try_advance_base()
     scpu_cost = compacted.scpu.meter.delta(scpu_mark)
     return {
         "uncompacted": uncompacted,
@@ -106,7 +106,7 @@ def test_reads_still_provable_after_compaction(compaction, benchmark):
     compacted = compaction["compacted"]
     ca = CertificateAuthority(bits=512)
     client = compacted.make_client(ca)
-    compacted.windows.refresh_current(force=True)
+    compacted.auth.windows.refresh_current(force=True)
     for sn in range(1, compacted.scpu.current_serial_number + 1):
         verified = client.verify_read(compacted.read(sn), sn)
         assert verified.status in ("active", "deleted")

@@ -58,7 +58,7 @@ def latencies(paper_keyring):
             if next_audit < strike_time:
                 continue
             store.scpu.clock.advance(next_audit - store.now)
-            store.windows.refresh_current(force=True)
+            store.auth.windows.refresh_current(force=True)
             report = StoreAuditor(store, client).sweep()
             if not report.clean:
                 detected_at = store.now

@@ -93,7 +93,7 @@ def main() -> None:
 
     # Every SN is still accountable: active, deleted-with-proof, or
     # never allocated — nothing can silently vanish.
-    store.windows.refresh_current(force=True)
+    store.auth.windows.refresh_current(force=True)
     for sn in range(1, scpu.current_serial_number + 1):
         status = client.verify_read(store.read(sn), sn).status
         print(f"  SN {sn}: {status}")

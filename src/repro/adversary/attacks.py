@@ -279,7 +279,7 @@ def hide_with_fresh_bound(env: AttackEnvironment) -> AttackOutcome:
     bounded by refresh_interval + freshness_window.
     """
     receipt = env.store.write([b"subpoenaed email"], policy="sec17a-4")
-    env.clock.advance(env.store.windows.refresh_interval + 1.0)
+    env.clock.advance(env.store.config.window_refresh_interval + 1.0)
     env.store.maintenance()  # the SCPU's periodic refresh fires
     fresh = env.store.vrdt.sn_current_envelope
     assert fresh is not None

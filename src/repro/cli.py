@@ -98,7 +98,6 @@ def _load_state(root: Path) -> Tuple[StrongWormStore, CertificateAuthority]:
     state = json.loads((root / "state.json").read_text())
     restored = VrdTable.from_dict(state["vrdt"])
     store.vrdt.__dict__.update(restored.__dict__)
-    store.windows._vrdt = store.vrdt
     # Rebuild SCPU-side schedules from the (verified) table.
     store.retention.night_scan(store.now)
     _reenqueue_weak(store)
@@ -214,7 +213,7 @@ def cmd_maintain(args) -> int:
 def cmd_audit(args) -> int:
     root, store, ca = _open(args.directory)
     client = store.make_client(ca)
-    store.windows.refresh_current(force=True)
+    store.auth.refresh(force=True)
     report = StoreAuditor(store, client).sweep()
     rows = [[str(f.sn), f.verdict,
              "weak" if f.weakly_signed else "", f.detail[:60]]

@@ -163,6 +163,8 @@ class AuthenticationScheme(abc.ABC):
       return the ``S_d(SN)`` deletion proof to store in the VRDT;
     * :meth:`classify` / :meth:`prove` — the read path: which proof case
       applies, and the proof object for it;
+    * :meth:`refresh` — re-sign the freshness statement clients check
+      once it is a refresh interval old, or now when forced;
     * :meth:`maintenance` — idle-period work (freshness refresh,
       compaction, base advancement);
     * :meth:`proof_size_bytes` / :meth:`state_size_bytes` — the
@@ -222,6 +224,17 @@ class AuthenticationScheme(abc.ABC):
         """
 
     # -- idle-period maintenance ---------------------------------------------
+
+    @abc.abstractmethod
+    def refresh(self, force: bool = False) -> None:
+        """Re-sign the freshness statement clients check (``S_s(SN_current)``,
+        the signed root, the signed value) once it is a refresh interval
+        old, or now when *force* is set (an audit wants a fresh bound)."""
+
+    def _due(self, signed: SignedEnvelope) -> bool:
+        """Is *signed* at least one refresh interval old?"""
+        return (self.store.now - signed.timestamp
+                >= self.store.config.window_refresh_interval)
 
     @abc.abstractmethod
     def maintenance(self, compact: bool = True) -> Dict[str, int]:
@@ -304,9 +317,8 @@ def available_schemes() -> Tuple[str, ...]:
 class WindowScheme(AuthenticationScheme):
     """O(1) window authentication (§4.2.1) behind the scheme interface.
 
-    Thin orchestration over :class:`~repro.core.windows.WindowManager`;
-    with this scheme selected, ``store.windows`` remains the live
-    manager, preserving the pre-scheme surface tools and tests poke.
+    Thin orchestration over :class:`~repro.core.windows.WindowManager`,
+    the live manager at ``store.auth.windows``.
     """
 
     name: ClassVar[str] = "windows"
@@ -329,6 +341,9 @@ class WindowScheme(AuthenticationScheme):
 
     def witness_deletion(self, sn: int) -> SignedEnvelope:
         return self.store.scpu_rt.make_deletion_proof(sn)
+
+    def refresh(self, force: bool = False) -> None:
+        self.windows.refresh_current(force=force)
 
     def classify(self, sn: int) -> str:
         return self.windows.classify(sn)
@@ -490,11 +505,12 @@ class MerkleScheme(AuthenticationScheme):
             return MerkleFrontierProof(signed_root=self._signed_root_or_die())
         raise WormError(f"merkle scheme cannot prove case {case!r}")
 
-    def maintenance(self, compact: bool = True) -> Dict[str, int]:
-        signed = self._signed_root_or_die()
-        interval = self.store.config.window_refresh_interval
-        if self.store.now - signed.timestamp >= interval:
+    def refresh(self, force: bool = False) -> None:
+        if force or self._due(self._signed_root_or_die()):
             self._reseal()
+
+    def maintenance(self, compact: bool = True) -> Dict[str, int]:
+        self.refresh()
         return {"windows_compacted": 0, "base_advanced": 0}
 
     # -- size accounting ------------------------------------------------------
@@ -673,11 +689,12 @@ class AccumulatorScheme(AuthenticationScheme):
                 signed_value=self._signed_value_or_die())
         raise WormError(f"accumulator scheme cannot prove case {case!r}")
 
-    def maintenance(self, compact: bool = True) -> Dict[str, int]:
-        signed = self._signed_value_or_die()
-        interval = self.store.config.window_refresh_interval
-        if self.store.now - signed.timestamp >= interval:
+    def refresh(self, force: bool = False) -> None:
+        if force or self._due(self._signed_value_or_die()):
             self._publish()
+
+    def maintenance(self, compact: bool = True) -> Dict[str, int]:
+        self.refresh()
         return {"windows_compacted": 0, "base_advanced": 0}
 
     # -- size accounting ------------------------------------------------------

@@ -13,16 +13,24 @@ The protocol implemented here:
    transit.
 2. **Import** — the destination store obtains the source SCPU's
    CA-certified public keys, has its *own SCPU* verify the manifest and
-   then every record's metasig/datasig and data hash.  Only records that
-   verify are re-witnessed under the destination keys, with their
-   original attributes — creation time, retention period, litigation
-   holds — preserved, so retention clocks keep running.
+   then every record's metasig/datasig (one batched crossing) and data
+   hash.  Only records that verify are re-witnessed under the
+   destination keys, in one :meth:`~repro.core.worm.StrongWormStore.
+   import_records` call, with their original attributes — creation
+   time, retention period, litigation holds — preserved, so retention
+   clocks keep running.
 3. Records that fail verification are **not migrated silently**: they are
    reported, because a migration is precisely where an insider would try
    to launder altered history into a fresh store.
 
 Expired records do not move: their deletion proofs are evidence about the
 *source* store and are archived in the report for audit, not re-issued.
+
+:func:`trusted_signers` and :func:`check_records` are the one custody
+check for records arriving from another store.  Site recovery's VERIFY
+stage (:mod:`repro.recovery.stages`) runs them too, under its own
+policy: it halts on the first failure and sets HMAC-witnessed records
+aside for the journal to re-ingest.
 """
 
 from __future__ import annotations
@@ -30,9 +38,9 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Type
 
-from repro.core.errors import MigrationError
+from repro.core.errors import MigrationError, WormError
 from repro.core.worm import StrongWormStore
 from repro.crypto.envelope import Purpose, SignedEnvelope
 from repro.crypto.hashing import data_tree
@@ -40,7 +48,8 @@ from repro.crypto.keys import Certificate, CertificateAuthority
 from repro.storage.vrd import VirtualRecordDescriptor
 
 __all__ = ["MigrationPackage", "MigrationReport", "export_package",
-           "import_package", "datasig_covers"]
+           "import_package", "trusted_signers", "trusted_key",
+           "check_records"]
 
 
 @dataclass(frozen=True)
@@ -82,15 +91,8 @@ def export_package(store: StrongWormStore,
                    ca: CertificateAuthority) -> MigrationPackage:
     """Snapshot *store* for migration, signed by its SCPU."""
     snapshot = store.vrdt.to_dict()
-    blocks: Dict[str, bytes] = {}
-    for sn in store.vrdt.active_sns:
-        vrd = store.vrdt.get_active(sn)
-        assert vrd is not None
-        for rd in vrd.rdl:
-            if rd.key not in blocks:
-                blocks[rd.key] = store.retry.call(
-                    "block_store.get", store.blocks.get, rd.key)
-                store.disk.read(rd.length)
+    blocks = store.read_blocks(
+        map(store.vrdt.get_active, store.vrdt.active_sns))
     manifest = store.scpu_rt.sign_migration_manifest(
         manifest_hash=_package_hash(snapshot, blocks),
         record_count=len(store.vrdt.active_sns),
@@ -114,55 +116,124 @@ def import_package(dest: StrongWormStore, package: MigrationPackage,
     report while the verifiable remainder still migrates.
     """
     # 1. Establish trust in the source keys through the shared CA.
-    trusted: Dict[str, Tuple[object, str]] = {}
-    for cert in package.source_certificates:
-        if not CertificateAuthority.verify_certificate(cert, ca.root_public_key):
-            raise MigrationError(
-                f"source certificate for role {cert.role!r} fails CA check")
-        trusted[cert.fingerprint] = (cert.public_key, cert.role)
+    trusted = trusted_signers(package.source_certificates, ca)
 
     # 2. Verify the manifest with the destination SCPU.
     manifest = package.manifest
     if manifest.envelope.purpose != Purpose.MIGRATION_MANIFEST:
         raise MigrationError("manifest has the wrong envelope purpose")
-    signer = trusted.get(manifest.key_fingerprint)
-    if signer is None or signer[1] != "s":
+    key = trusted_key(manifest, trusted, ("s",))
+    if key is None:
         raise MigrationError("manifest not signed by the source's s key")
-    if not dest.scpu_rt.verify_envelope(manifest, signer[0]):
+    if not dest.scpu_rt.verify_envelope(manifest, key):
         raise MigrationError("manifest signature verification failed")
     if manifest.field("manifest_hash") != _package_hash(
             package.vrdt_snapshot, package.blocks):
         raise MigrationError("package contents do not match the signed manifest")
 
-    # 3. Per-record verification + re-witnessing.
+    # 3. Check every record in one batch; re-witness the ones that verify.
     report = MigrationReport()
     report.archived_deletion_proofs = len(
         package.vrdt_snapshot.get("deletion_proofs", []))
-    for vrd_data in package.vrdt_snapshot["active"]:
-        vrd = VirtualRecordDescriptor.from_dict(vrd_data)
-        failure = _verify_source_record(dest, vrd, package.blocks, trusted)
-        if failure is not None:
+    vrds = [VirtualRecordDescriptor.from_dict(vrd_data)
+            for vrd_data in package.vrdt_snapshot["active"]]
+    failures, _ = check_records(dest, vrds, package.blocks, trusted)
+    verified = []
+    for vrd, failure in zip(vrds, failures):
+        if failure is None:
+            verified.append(vrd)
+        else:
             report.rejected.append((vrd.sn, failure))
-            continue
-        payloads = [package.blocks[rd.key] for rd in vrd.rdl]
-        receipt = dest.import_record(vrd.attr, payloads)
+    receipts = dest.import_records(
+        [(vrd.attr, [package.blocks[rd.key] for rd in vrd.rdl])
+         for vrd in verified])
+    for vrd, receipt in zip(verified, receipts):
         report.sn_mapping[vrd.sn] = receipt.sn
-        report.migrated += 1
+    report.migrated = len(receipts)
     return report
 
 
-def _verify_source_record(dest: StrongWormStore, vrd: VirtualRecordDescriptor,
-                          blocks: Dict[str, bytes],
-                          trusted: Dict[str, Tuple[object, str]]):
-    """Return a failure reason, or None when the record fully verifies."""
-    for signed, label in ((vrd.metasig, "metasig"), (vrd.datasig, "datasig")):
-        if signed.scheme == "hmac":
-            return f"{label} is HMAC-only; source must strengthen before migrating"
-        signer = trusted.get(signed.key_fingerprint)
-        if signer is None or signer[1] not in ("s", "burst"):
-            return f"{label} signed by an untrusted key"
-        if not dest.scpu_rt.verify_envelope(signed, signer[0]):
-            return f"{label} signature verification failed"
+def trusted_signers(certificates: Iterable[Certificate],
+                    ca: CertificateAuthority,
+                    error: Type[WormError] = MigrationError
+                    ) -> Dict[str, Tuple[object, str]]:
+    """CA-check another store's *certificates* into a trust map.
+
+    Maps each certificate's key fingerprint to ``(public key, role)``.
+    A certificate *ca* did not issue raises *error*: a migration refuses
+    the package, a recovery treats the replica as tampered.
+    """
+    trusted: Dict[str, Tuple[object, str]] = {}
+    for cert in certificates:
+        if not CertificateAuthority.verify_certificate(cert, ca.root_public_key):
+            raise error(
+                f"source certificate for role {cert.role!r} fails CA check")
+        trusted[cert.fingerprint] = (cert.public_key, cert.role)
+    return trusted
+
+
+def trusted_key(signed: SignedEnvelope, trusted: Dict[str, Tuple[object, str]],
+                roles: Tuple[str, ...]) -> Optional[object]:
+    """The public key that signed *signed*, if *trusted* holds it in one
+    of *roles*; None otherwise."""
+    signer = trusted.get(signed.key_fingerprint)
+    return signer[0] if signer is not None and signer[1] in roles else None
+
+
+def check_records(dest: StrongWormStore,
+                  vrds: Sequence[VirtualRecordDescriptor],
+                  blocks: Dict[str, bytes],
+                  trusted: Dict[str, Tuple[object, str]],
+                  extra: Sequence[Tuple[SignedEnvelope, object]] = ()
+                  ) -> Tuple[List[Optional[str]], List[bool]]:
+    """Check records another store's card witnessed, before *dest*
+    re-witnesses them (a migration package, a recovery replica).
+
+    The host-side checks run per record, the data check first charging
+    *dest*'s card for hashing the blocks.  Then every record signature,
+    and each ``(envelope, public key)`` pair of *extra*, crosses into
+    *dest*'s card in one ``verify_envelope_batch``.  Returns each VRD's
+    first failure, or None when it verifies, in this order: metasig,
+    then datasig (each: HMAC-only, untrusted signer, bad signature),
+    then the SN fields, the attributes, missing blocks and the data
+    tree; and whether each *extra* signature verified.
+    """
+    pairs = list(extra)
+    staged: List[Tuple[List[Tuple[int, str]], Optional[str]]] = []
+    for vrd in vrds:
+        slots: List[Tuple[int, str]] = []
+        failure = None
+        for signed, label in ((vrd.metasig, "metasig"),
+                              (vrd.datasig, "datasig")):
+            key = trusted_key(signed, trusted, ("s", "burst"))
+            if signed.scheme == "hmac":
+                failure = (f"{label} is HMAC-only; source must strengthen "
+                           f"before migrating")
+            elif key is None:
+                failure = f"{label} signed by an untrusted key"
+            if failure is not None:
+                break
+            slots.append((len(pairs), label))
+            pairs.append((signed, key))
+        else:
+            failure = _content_failure(dest, vrd, blocks)
+        staged.append((slots, failure))
+    verified = dest.scpu_rt.verify_envelope_batch(pairs) if pairs else []
+    failures = [
+        next((f"{label} signature verification failed"
+              for index, label in slots if not verified[index]), failure)
+        for slots, failure in staged]
+    return failures, verified[:len(extra)]
+
+
+def _content_failure(dest: StrongWormStore, vrd: VirtualRecordDescriptor,
+                     blocks: Dict[str, bytes]) -> Optional[str]:
+    """Do the VRD's SN, attributes and blocks match what it says is signed?
+
+    The data check hashes the RDL's blocks into the VR's data tree,
+    charges *dest*'s card the SHA of that pass, and compares the root
+    with the signed ``data_hash``.
+    """
     if vrd.metasig.field("sn") != vrd.sn or vrd.datasig.field("sn") != vrd.sn:
         return "signatures name a different SN"
     if vrd.metasig.field("attr") != vrd.attr.canonical_bytes():
@@ -170,22 +241,9 @@ def _verify_source_record(dest: StrongWormStore, vrd: VirtualRecordDescriptor,
     missing = [rd.key for rd in vrd.rdl if rd.key not in blocks]
     if missing:
         return f"payloads missing from package: {missing}"
-    if not datasig_covers(dest, vrd, blocks):
-        return "record data does not match datasig"
-    return None
-
-
-def datasig_covers(dest: StrongWormStore, vrd: VirtualRecordDescriptor,
-                   blocks: Dict[str, bytes]) -> bool:
-    """Do *blocks* hold the data *vrd*'s datasig signs?
-
-    The one data check of a record arriving from another store (a
-    migration package, a recovery replica): hash the RDL's blocks into
-    the VR's data tree, charge *dest*'s card the SHA of that pass, and
-    compare the root with the signed ``data_hash``.  Every RDL key must
-    be in *blocks*.
-    """
     tree = data_tree([blocks[rd.key] for rd in vrd.rdl])
     dest.scpu.meter.charge("sha", dest.scpu.profile.sha_seconds(
         vrd.total_bytes + tree.node_bytes, dest.scpu.hash_block_size))
-    return tree.root == vrd.datasig.field("data_hash")
+    if tree.root != vrd.datasig.field("data_hash"):
+        return "record data does not match datasig"
+    return None

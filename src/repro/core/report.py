@@ -47,7 +47,7 @@ def generate_report(store: StrongWormStore, client: WormClient,
                     title: str = "WORM store compliance report",
                     wall_time: Optional[float] = None) -> ComplianceReport:
     """Run the sweep and render the full report."""
-    store.windows.refresh_current(force=True)
+    store.auth.refresh(force=True)
     auditor = StoreAuditor(store, client)
     audit = auditor.sweep()
     overview = auditor.compliance_overview()

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.auth import AuthenticationScheme, create_scheme
 from repro.core.client import WormClient
@@ -136,10 +136,6 @@ class StrongWormStore:
         # names raise UnknownAlgorithmError here, at construction.
         self.auth: AuthenticationScheme = create_scheme(config.auth_scheme,
                                                         self)
-        # Back-compat alias: under the default scheme, ``store.windows``
-        # remains the live WindowManager (pre-scheme tooling pokes it
-        # directly); other schemes have no window manager.
-        self.windows = getattr(self.auth, "windows", None)
         self.retention = RetentionMonitor(self, vexp_capacity=config.vexp_capacity)
         self.strengthening = StrengtheningQueue(
             self, safety_factor=config.strengthen_safety_factor, obs=self.obs)
@@ -658,51 +654,39 @@ class StrongWormStore:
 
     # ------------------------------------------------------------- migration
 
-    def import_record(self, attr: RecordAttributes,
-                      payloads: Sequence[bytes]) -> WriteReceipt:
-        """Re-witness a verified migrated record under this store's SCPU.
+    def read_blocks(self, vrds: Iterable[VirtualRecordDescriptor]
+                    ) -> Dict[str, bytes]:
+        """The distinct blocks of *vrds*, by key, for another store.
 
-        Used only by :mod:`repro.core.migration`, *after* the destination
-        SCPU has verified the source store's signatures over exactly this
-        attr/data pair.  Unlike :meth:`write`, the original attributes —
-        including ``created_at`` and any litigation hold — are preserved,
-        so the retention clock keeps running across media generations
-        (§1 Compliant Migration).
+        What a migration package or a replication artifact carries: each
+        block is read once, in first-reference order, one disk read of
+        its recorded length.
         """
-        marks = self._cost_checkpoints()
-        rdl: List[RecordDescriptor] = []
-        for payload in payloads:
-            key = self.retry.call("block_store.put", self.blocks.put,
-                                  payload)
-            self.disk.write(len(payload), sequential=True)
-            self.host.memcpy_cost(len(payload))
-            rdl.append(RecordDescriptor(key=key, length=len(payload)))
-        tree = self._scpu_rt.hash_record_data_batch([payloads])[0]
-        sn = self._scpu_rt.issue_serial_number()
-        metasig, datasig = self._scpu_rt.witness_write(
-            sn, attr.canonical_bytes(), tree.root, strength=Strength.STRONG)
-        vrd = VirtualRecordDescriptor(sn=sn, attr=attr, rdl=tuple(rdl),
-                                      metasig=metasig, datasig=datasig,
-                                      data_hash=tree.root)
-        self.vrdt.insert_active(vrd, tree)
-        self.host.table_touch()
-        self.disk.write(256, sequential=True)
-        self.retention.on_write(
-            sn, max(attr.expires_at,
-                    attr.litigation_timeout if attr.litigation_hold else 0.0))
-        self.auth.on_write(vrd)
-        return WriteReceipt(sn=sn, vrd=vrd, strength=Strength.STRONG,
-                            costs=self._cost_delta(marks))
+        blocks: Dict[str, bytes] = {}
+        for vrd in vrds:
+            for rd in vrd.rdl:
+                if rd.key not in blocks:
+                    blocks[rd.key] = self.retry.call(
+                        "block_store.get", self.blocks.get, rd.key)
+                    self.disk.read(rd.length)
+        return blocks
 
     def import_records(self, items: Sequence[Tuple[RecordAttributes,
                                                    Sequence[bytes]]]
                        ) -> List[WriteReceipt]:
-        """Batched :meth:`import_record` for bulk replay (recovery, drills).
+        """Re-witness verified records from another store under this SCPU.
 
-        Hashing, SN issue, and witnessing each cross the SCPU boundary
-        once for the whole batch rather than once per record; per-record
-        crypto costs are unchanged and the batch's device costs are split
-        evenly across the returned receipts.
+        Call it only *after* this store's SCPU has verified the source
+        store's signatures over exactly these attr/data pairs
+        (:func:`repro.core.migration.check_records`: a migration import,
+        a recovery replay).  Unlike :meth:`write`, the original
+        attributes — including ``created_at`` and any litigation hold —
+        are preserved, so retention clocks keep running across media
+        generations (§1 Compliant Migration).  Hashing, SN issue, and
+        witnessing each cross the SCPU boundary once for the whole
+        batch rather than once per record; per-record crypto costs are
+        unchanged and the batch's device costs are split evenly across
+        the returned receipts.
         """
         if not items:
             return []

@@ -37,7 +37,7 @@ sanitizers any callee named ``verify*`` / ``_verify*`` / ``check_*`` /
            ``_check_*``, plus ``client_verify`` and
            ``rebuild_verified`` — they raise on mismatch, so the
            arguments *and* result are clean afterwards
-sinks      ``index_record`` (catalog import), ``import_record``
+sinks      ``index_record`` (catalog import), ``import_records``
            (record replay/import), and values returned from
            ``WormClient`` methods (what verifying callers trust)
 ========== ==========================================================
@@ -88,7 +88,7 @@ SANITIZER_NAMES = frozenset({"client_verify", "rebuild_verified"})
 #: Trust-decision calls: a tainted argument here is a W007.
 SINK_METHODS: Dict[str, str] = {
     "index_record": "catalog import",
-    "import_record": "record import/replay",
+    "import_records": "record import/replay",
 }
 
 #: Classes whose public methods hand results to verifying callers —

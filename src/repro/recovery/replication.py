@@ -42,6 +42,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.errors import CrashError, ReplicationError
 from repro.core.sharded import ShardedWormStore
+from repro.crypto.envelope import SignedEnvelope
 from repro.crypto.keys import Certificate, CertificateAuthority
 from repro.faults.plan import FaultKind, FaultPlan
 from repro.obs.bus import NULL_BUS, TelemetryBus
@@ -351,7 +352,7 @@ class ReplicaSite:
                 for vrd_data in vrdt["active"]:
                     vrds[int(vrd_data["sn"])] = vrd_data
                 for proof_data in vrdt.get("deletion_proofs", []):
-                    sn = int(proof_data["envelope"]["fields"]["sn"])
+                    sn = int(SignedEnvelope.from_dict(proof_data).field("sn"))
                     proofs[sn] = proof_data
                 image["sn_current"] = vrdt.get("sn_current")
                 image["sn_base"] = vrdt.get("sn_base")
@@ -445,11 +446,6 @@ class ReplicationPump:
             self.obs.inc("replication.artifacts_shipped")
             self.obs.inc("replication.bytes_shipped", artifact.size_bytes)
 
-    def _read_block(self, shard, key: str, length: int) -> bytes:
-        data = shard.retry.call("block_store.get", shard.blocks.get, key)
-        shard.disk.read(length)
-        return data
-
     # -- artifact builders --------------------------------------------------------
 
     def _delta_for(self, shard_id: int, now: float
@@ -465,19 +461,9 @@ class ReplicationPump:
         if (not new_sns and not new_expired
                 and window_sig == self._last_window_sig.get(shard_id)):
             return None
-        vrds: List[Dict[str, Any]] = []
-        blocks: Dict[str, bytes] = {}
-        size = 0
-        for sn in new_sns:
-            vrd = shard.vrdt.get_active(sn)
-            if vrd is None:
-                continue
-            vrds.append(vrd.to_dict())
-            for rd in vrd.rdl:
-                if rd.key not in blocks:
-                    blocks[rd.key] = self._read_block(shard, rd.key,
-                                                      rd.length)
-                    size += rd.length
+        vrds = [vrd for vrd in map(shard.vrdt.get_active, new_sns)
+                if vrd is not None]
+        blocks = shard.read_blocks(vrds)
         expired: List[Tuple[int, Dict[str, Any]]] = []
         for sn in new_expired:
             proof = shard.vrdt.get_deletion_proof(sn)
@@ -486,7 +472,7 @@ class ReplicationPump:
         payload: Dict[str, Any] = {
             "kind": "delta",
             "shard_id": shard_id,
-            "vrds": vrds,
+            "vrds": [vrd.to_dict() for vrd in vrds],
             "blocks": blocks,
             "expired": expired,
             "sn_current": env.to_dict() if env is not None else None,
@@ -499,7 +485,8 @@ class ReplicationPump:
             stream=f"catalog:{shard_id}",
             seq=self._next_seq(f"catalog:{shard_id}"),
             kind="delta", created_at=now, payload=payload,
-            size_bytes=size + 512 * (len(vrds) + len(expired)) + 256)
+            size_bytes=(sum(map(len, blocks.values()))
+                        + 512 * (len(vrds) + len(expired)) + 256))
         if new_sns:
             self._shipped_sn[shard_id] = max(new_sns)
         shipped_expired.update(new_expired)
@@ -510,24 +497,16 @@ class ReplicationPump:
                       now: float) -> ReplicationArtifact:
         shard = self.store.shard(shard_id)
         snapshot = shard.vrdt.to_dict()
-        blocks: Dict[str, bytes] = {}
-        size = 0
-        for sn in shard.vrdt.active_sns:
-            vrd = shard.vrdt.get_active(sn)
-            if vrd is None:
-                continue
-            for rd in vrd.rdl:
-                if rd.key not in blocks:
-                    blocks[rd.key] = self._read_block(shard, rd.key,
-                                                      rd.length)
-                    size += rd.length
+        blocks = shard.read_blocks(
+            map(shard.vrdt.get_active, shard.vrdt.active_sns))
         payload = {"kind": "snapshot", "shard_id": shard_id,
                    "vrdt": snapshot, "blocks": blocks}
         artifact = ReplicationArtifact(
             stream=f"catalog:{shard_id}",
             seq=self._next_seq(f"catalog:{shard_id}"),
             kind="snapshot", created_at=now, payload=payload,
-            size_bytes=size + 512 * len(snapshot["active"]) + 1024)
+            size_bytes=(sum(map(len, blocks.values()))
+                        + 512 * len(snapshot["active"]) + 1024))
         self._shipped_sn[shard_id] = max(shard.vrdt.active_sns, default=0)
         self._shipped_expired[shard_id] = set(shard.vrdt.expired_sns)
         env = shard.vrdt.sn_current_envelope

@@ -21,7 +21,8 @@ exactly those two things, through five explicit stages::
   authenticator (``S_s(SN_current)``, ``S_s(SN_base)``, deletion-window
   bounds, deletion proofs) and every VRD's metasig/datasig/data-hash is
   checked by the **new site's own SCPU** against the dead site's
-  certified keys — the same discipline as compliant migration.  Any
+  certified keys, by compliant migration's own code
+  (:func:`~repro.core.migration.check_records`).  Any
   mismatch raises :class:`TamperedError` and recovery halts: a replica
   that lies does not get laundered into a fresh store.  (HMAC-witnessed
   records are *unverifiable by construction*, not tampered: they are
@@ -52,7 +53,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.errors import RecoveryError, TamperedError
 from repro.core.locator import RecordLocator
-from repro.core.migration import datasig_covers
+from repro.core.migration import check_records, trusted_key, trusted_signers
 from repro.core.sharded import ShardedWormStore, ShardedWriteReceipt
 from repro.crypto.envelope import Purpose, SignedEnvelope
 from repro.crypto.keys import CertificateAuthority
@@ -250,23 +251,15 @@ class SiteRecovery:
 
     def _ensure_trusted(self) -> Dict[str, Tuple[object, str]]:
         """CA-check the dead site's certificates into a trust map."""
-        if self._trusted is not None:
-            return self._trusted
-        certs = self.replica.source_certificates
-        if not certs:
-            raise RecoveryError(
-                "replica holds no source certificates; the dead site's "
-                "keys cannot be trusted without the CA chain")
-        trusted: Dict[str, Tuple[object, str]] = {}
-        for cert in certs:
-            if not CertificateAuthority.verify_certificate(
-                    cert, self.ca.root_public_key):
-                raise TamperedError(
-                    f"replicated certificate for role {cert.role!r} fails "
-                    f"the CA check — the replica is presenting forged keys")
-            trusted[cert.fingerprint] = (cert.public_key, cert.role)
-        self._trusted = trusted
-        return trusted
+        if self._trusted is None:
+            certs = self.replica.source_certificates
+            if not certs:
+                raise RecoveryError(
+                    "replica holds no source certificates; the dead site's "
+                    "keys cannot be trusted without the CA chain")
+            self._trusted = trusted_signers(certs, self.ca,
+                                            error=TamperedError)
+        return self._trusted
 
     def _ensure_images(self) -> Dict[int, Dict[str, Any]]:
         """Materialized per-shard catalog images (idempotent)."""
@@ -277,39 +270,19 @@ class SiteRecovery:
         return self._images
 
     def _stage_signed(self, shard_id: int, signed: SignedEnvelope,
-                      purpose: str, roles: Tuple[str, ...], label: str,
-                      queue: List[Tuple[SignedEnvelope, Any, str]]) -> None:
-        """Host-side checks for one authenticator; the SCPU check is deferred.
-
-        Purpose and signer-trust checks run immediately (they need no
-        crossing); the signature itself joins *queue* for the shard's
-        single batched :meth:`_flush_verifies` crossing.
-        """
-        trusted = self._ensure_trusted()
+                      purpose: str, role: str, label: str,
+                      staged: List[Tuple[SignedEnvelope, Any, str]]) -> None:
+        """Host-side checks for one authenticator; its signature joins
+        *staged* for the shard's one batched verify."""
         if signed.envelope.purpose != purpose:
             raise TamperedError(
                 f"shard {shard_id} {label}: wrong envelope purpose "
                 f"{signed.envelope.purpose!r} (expected {purpose!r})")
-        signer = trusted.get(signed.key_fingerprint)
-        if signer is None or signer[1] not in roles:
+        key = trusted_key(signed, self._ensure_trusted(), (role,))
+        if key is None:
             raise TamperedError(
                 f"shard {shard_id} {label}: signed by an untrusted key")
-        queue.append((signed, signer[0],
-                      f"shard {shard_id} {label}: signature verification "
-                      f"failed"))
-
-    def _flush_verifies(self, shard_id: int,
-                        queue: List[Tuple[SignedEnvelope, Any, str]]) -> None:
-        """One batched SCPU crossing checks every staged signature."""
-        if not queue:
-            return
-        scpu_rt = self.store.shard(shard_id).scpu_rt
-        results = scpu_rt.verify_envelope_batch(
-            [(signed, key) for signed, key, _ in queue])
-        for ok, (_, _, failure) in zip(results, queue):
-            if not ok:
-                raise TamperedError(failure)
-        del queue[:]
+        staged.append((signed, key, label))
 
     # -- stages ----------------------------------------------------------------------
 
@@ -344,114 +317,77 @@ class SiteRecovery:
     def _verify(self) -> None:
         """Check every replicated construct before any of it is imported.
 
-        Structural checks (purpose, trust, SN fields, attr match, data
-        hash) run host-side per item; every signature in a shard's
-        image is staged and crosses into the new site's SCPU as one
-        batched verify call — VERIFY pays one round trip per shard
-        instead of one per envelope.
+        Window authenticators are host-checked here, records by
+        migration's :func:`~repro.core.migration.check_records`; every
+        signature of a shard's image, records and authenticators alike,
+        crosses into the new site's SCPU as one batched verify call.
         """
-        for shard_id, image in sorted(self._ensure_images().items()):  # wormlint: disable=W009 - the shard is the batch boundary: all staged signatures cross once in _flush_verifies
-            queue: List[Tuple[SignedEnvelope, Any, str]] = []
-            windows = self._stage_shard_windows(shard_id, image, queue)
-            records = 0
+        trusted = self._ensure_trusted()
+        for shard_id, image in sorted(self._ensure_images().items()):  # wormlint: disable=W009 - the shard is the batch boundary: all of its signatures cross once in check_records
+            windows = self._stage_shard_windows(shard_id, image)
+            vrds = []
             for sn in sorted(image["vrds"]):
                 vrd = VirtualRecordDescriptor.from_dict(image["vrds"][sn])
-                records += self._stage_record(shard_id, vrd,
-                                              image["blocks"], queue)
-            self._flush_verifies(shard_id, queue)
+                if vrd.is_client_verifiable:
+                    vrds.append(vrd)
+                else:
+                    # Only the dead card could check its own HMAC:
+                    # unverifiable by construction, excluded from
+                    # REPLAY, covered by RESUME.
+                    self._unverifiable.append(
+                        (shard_id, vrd.sn, "hmac-witnessed (burst mode); "
+                                           "re-ingested from the journal"))
+            failures, windows_ok = check_records(
+                self.store.shard(shard_id), vrds, image["blocks"], trusted,
+                extra=[(signed, key) for signed, key, _ in windows])
+            for ok, (_, _, label) in zip(windows_ok, windows):
+                if not ok:
+                    raise TamperedError(f"shard {shard_id} {label}: "
+                                        f"signature verification failed")
+            for vrd, failure in zip(vrds, failures):
+                if failure is not None:
+                    raise TamperedError(
+                        f"shard {shard_id} SN {vrd.sn}: {failure}")
             if windows:
-                self._count("windows_verified", windows)
-                self.obs.inc("recovery.windows_verified", windows)
-            if records:
-                self._count("records_verified", records)
-                self.obs.inc("recovery.records_verified", records)
+                self._count("windows_verified", len(windows))
+                self.obs.inc("recovery.windows_verified", len(windows))
+            if vrds:
+                self._count("records_verified", len(vrds))
+                self.obs.inc("recovery.records_verified", len(vrds))
 
-    def _stage_shard_windows(self, shard_id: int, image: Dict[str, Any],
-                             queue: List[Tuple[SignedEnvelope, Any, str]]
-                             ) -> int:
-        """Stage the shard's window authenticators: the O(1) trust skeleton."""
+    def _stage_shard_windows(self, shard_id: int, image: Dict[str, Any]
+                             ) -> List[Tuple[SignedEnvelope, Any, str]]:
+        """The shard's window authenticators, host-checked: the O(1)
+        trust skeleton, each with its signer's key and a label."""
         if image["vrds"] and image["sn_current"] is None:
             raise RecoveryError(
                 f"shard {shard_id}: replica has active records but no "
                 f"signed SN_current authenticator")
-        staged = 0
-        pairs = (("sn_current", Purpose.SN_CURRENT, ("s",)),
-                 ("sn_base", Purpose.SN_BASE, ("s",)))
-        for key, purpose, roles in pairs:
-            if image[key] is None:
-                continue
-            self._stage_signed(
-                shard_id, SignedEnvelope.from_dict(image[key]),
-                purpose, roles, key, queue)
-            staged += 1
+        staged: List[Tuple[SignedEnvelope, Any, str]] = []
+        for key, purpose in (("sn_current", Purpose.SN_CURRENT),
+                             ("sn_base", Purpose.SN_BASE)):
+            if image[key] is not None:
+                self._stage_signed(
+                    shard_id, SignedEnvelope.from_dict(image[key]),
+                    purpose, "s", key, staged)
         for window in image["deletion_windows"]:
             self._stage_signed(
                 shard_id, SignedEnvelope.from_dict(window["lower"]),
-                Purpose.WINDOW_LOWER, ("s",), "deletion-window lower bound",
-                queue)
+                Purpose.WINDOW_LOWER, "s", "deletion-window lower bound",
+                staged)
             self._stage_signed(
                 shard_id, SignedEnvelope.from_dict(window["upper"]),
-                Purpose.WINDOW_UPPER, ("s",), "deletion-window upper bound",
-                queue)
-            staged += 2
+                Purpose.WINDOW_UPPER, "s", "deletion-window upper bound",
+                staged)
         for sn, proof_data in sorted(image["deletion_proofs"].items()):
             proof = SignedEnvelope.from_dict(proof_data)
             self._stage_signed(shard_id, proof, Purpose.DELETION_PROOF,
-                               ("d",), f"deletion proof SN {sn}", queue)
+                               "d", f"deletion proof SN {sn}", staged)
             if int(proof.field("sn")) != int(sn):
                 raise TamperedError(
                     f"shard {shard_id}: deletion proof names SN "
                     f"{proof.field('sn')} but is filed under {sn}")
-            staged += 1
         return staged
-
-    def _stage_record(self, shard_id: int, vrd: VirtualRecordDescriptor,
-                      blocks: Dict[str, bytes],
-                      queue: List[Tuple[SignedEnvelope, Any, str]]) -> int:
-        """Migration-grade checks for one replicated record (sigs deferred).
-
-        Returns the number of records staged (0 for hmac-unverifiable
-        ones) so the caller can count only what the batch actually
-        covers.
-        """
-        shard = self.store.shard(shard_id)
-        if vrd.metasig.scheme == "hmac" or vrd.datasig.scheme == "hmac":
-            # Only the dead card could check its own HMAC: unverifiable
-            # by construction, excluded from REPLAY, covered by RESUME.
-            self._unverifiable.append(
-                (shard_id, vrd.sn, "hmac-witnessed (burst mode); "
-                                   "re-ingested from the journal"))
-            return 0
-        trusted = self._ensure_trusted()
-        for signed, label in ((vrd.metasig, "metasig"),
-                              (vrd.datasig, "datasig")):
-            signer = trusted.get(signed.key_fingerprint)
-            if signer is None or signer[1] not in ("s", "burst"):
-                raise TamperedError(
-                    f"shard {shard_id} SN {vrd.sn}: {label} signed by an "
-                    f"untrusted key")
-            queue.append((signed, signer[0],
-                          f"shard {shard_id} SN {vrd.sn}: {label} signature "
-                          f"verification failed"))
-        if (vrd.metasig.field("sn") != vrd.sn
-                or vrd.datasig.field("sn") != vrd.sn):
-            raise TamperedError(
-                f"shard {shard_id} SN {vrd.sn}: signatures name a "
-                f"different SN")
-        if vrd.metasig.field("attr") != vrd.attr.canonical_bytes():
-            raise TamperedError(
-                f"shard {shard_id} SN {vrd.sn}: attributes do not match "
-                f"the metasig")
-        missing = [rd.key for rd in vrd.rdl if rd.key not in blocks]
-        if missing:
-            raise TamperedError(
-                f"shard {shard_id} SN {vrd.sn}: replica is missing payload "
-                f"blocks {missing} for a record it advertises")
-        if not datasig_covers(shard, vrd, blocks):
-            raise TamperedError(
-                f"shard {shard_id} SN {vrd.sn}: record data does not "
-                f"match the datasig")
-        return 1
 
     def _replay(self) -> None:
         """Re-witness every verified record under the new site's SCPUs.
@@ -469,7 +405,7 @@ class SiteRecovery:
                    if (shard_id, sn) not in unverifiable]
             vrds = [VirtualRecordDescriptor.from_dict(image["vrds"][sn])
                     for sn in sns]
-            receipts = self.store.shard(shard_id).import_records(  # wormlint: disable=W007 - custody spans stages: _stage_record checked every (shard, sn) against its metasig/datasig before REPLAY can start, and unverifiable records are skipped above
+            receipts = self.store.shard(shard_id).import_records(  # wormlint: disable=W007 - custody spans stages: VERIFY's check_records checked every (shard, sn) against its metasig/datasig before REPLAY can start, and unverifiable records are skipped above
                 [(vrd.attr, [image["blocks"][rd.key] for rd in vrd.rdl])
                  for vrd in vrds])
             for sn, vrd, receipt in zip(sns, vrds, receipts):

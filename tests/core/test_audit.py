@@ -23,7 +23,7 @@ class TestCleanSweep:
         store.write([b"brief"], retention_seconds=5.0)
         store.scpu.clock.advance(10.0)
         store.maintenance()
-        store.windows.refresh_current(force=True)
+        store.auth.windows.refresh_current(force=True)
         report = auditor.sweep()
         assert report.clean
         assert report.active_count == 1

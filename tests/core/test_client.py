@@ -129,7 +129,7 @@ class TestFreshness:
         from repro.sim.manual_clock import ManualClock
         lagging = store.make_client(ca, clock=ManualClock(0.0))
         store.scpu.clock.advance(3600.0)
-        store.windows.refresh_current(force=True)
+        store.auth.windows.refresh_current(force=True)
         result = store.read(9999)
         with pytest.raises(FreshnessError, match="future"):
             lagging.verify_read(result, 9999)
@@ -144,7 +144,7 @@ class TestFreshness:
         receipt = store.write([b"x"], strength=Strength.WEAK)
         store.strengthening.drain(store.now)
         store.scpu.clock.advance(61 * 60.0)
-        store.windows.refresh_current()
+        store.auth.windows.refresh_current()
         verified = client.verify_read(store.read(receipt.sn), receipt.sn)
         assert verified.status == "active"
         assert not verified.weakly_signed
@@ -157,7 +157,7 @@ class TestBaseProofs:
         store.scpu.clock.advance(10.0)
         store.retention.tick(store.now)
         store.write([b"anchor"])
-        store.windows.try_advance_base()
+        store.auth.windows.try_advance_base()
         result = store.read(1)
         verified = client.verify_read(result, 1)
         assert verified.status == "deleted"

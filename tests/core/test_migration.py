@@ -122,3 +122,21 @@ class TestTamperedMigration:
             e for e in package.vrdt_snapshot["active"] if e["sn"] == r1.sn]
         with pytest.raises(MigrationError, match="manifest"):
             import_package(dest, package, ca)
+
+
+class TestBatchedImport:
+    @staticmethod
+    def _import_crossings(ca, records):
+        source = StrongWormStore(scpu=SecureCoprocessor(keyring=demo_keyring()))
+        for i in range(records):
+            source.write([b"record-%d" % i, b"sibling-%d" % i], policy="sox")
+        dest = StrongWormStore(scpu=SecureCoprocessor(keyring=demo_keyring()))
+        before = dest.scpu.meter.crossings
+        report = import_package(dest, export_package(source, ca), ca)
+        assert report.clean and report.migrated == records
+        return dest.scpu.meter.crossings - before
+
+    def test_card_crossings_do_not_grow_with_the_record_count(self, ca):
+        # Manifest, one batched signature check, then hashing, SN issue
+        # and witnessing once each for the whole package.
+        assert self._import_crossings(ca, 3) == self._import_crossings(ca, 12)

@@ -2,12 +2,20 @@
 
 import pytest
 
+from repro import demo_keyring
+from repro.core.auth import available_schemes
+from repro.core.config import StoreConfig
 from repro.core.report import generate_report
-from repro.hardware.scpu import Strength
+from repro.core.worm import StrongWormStore
+from repro.hardware.scpu import SecureCoprocessor, Strength
 
 
 class TestVerdicts:
-    def test_clean_store_passes(self, store, client):
+    @pytest.mark.parametrize("scheme", available_schemes())
+    def test_clean_store_passes(self, scheme, ca):
+        store = StrongWormStore(scpu=SecureCoprocessor(keyring=demo_keyring()),
+                                config=StoreConfig(auth_scheme=scheme))
+        client = store.make_client(ca)
         store.write([b"clean"], policy="sox")
         report = generate_report(store, client)
         assert report.verdict == "PASS"

@@ -324,7 +324,7 @@ class TestImportRecord:
         attr = RecordAttributes(created_at=123.0, retention_seconds=1e6,
                                 policy="sox")
         store.scpu.clock.advance(5000.0)
-        receipt = store.import_record(attr, [b"migrated payload"])
+        [receipt] = store.import_records([(attr, [b"migrated payload"])])
         assert receipt.vrd.attr.created_at == 123.0
         assert receipt.vrd.attr.policy == "sox"
         result = store.read(receipt.sn)

@@ -88,7 +88,7 @@ def test_replica_payload_replayed_without_vrd_check_is_flagged():
             def replay(self, shard_id):
                 image = self.replica.materialize_shard(shard_id)
                 for entry in image:
-                    self.store.import_record(entry.attr, entry.payload)
+                    self.store.import_records([(entry.attr, entry.payload)])
     """})
     assert [f.rule for f in findings] == ["W007"]
 

@@ -70,6 +70,23 @@ class TestHappyPath:
             payload = standby.read_record(report.locator_mapping[old])
             assert payload == primary.read_record(old)
 
+    def test_a_snapshot_carrying_deletion_proofs_recovers(self, ca):
+        # Each shard expires its middle VR before the first pump, so the
+        # snapshot itself carries a deletion proof above SN_base.
+        store, _, replica, pump = build_primary(ca=ca)
+        store.write_batch([b"kept-%d" % i for i in range(8)], policy="sox")
+        store.write_batch([b"brief-%d" % i for i in range(8)],
+                          retention_seconds=5.0)
+        store.write_batch([b"later-%d" % i for i in range(8)], policy="sox")
+        store.advance_clocks(10.0)
+        for shard in store.shards:
+            shard.retention.tick(store.now)
+        assert catch_up(pump)
+        report = SiteRecovery(replica, build_standby(STANDBY), ca).run()
+        assert report.complete
+        assert report.skipped_expired == 2
+        assert report.records_replayed == 4
+
     def test_rto_includes_the_wan_transfer(self, ca):
         _, replica, _ = _populated_site(ca, records=4)
         standby = build_standby(STANDBY)

@@ -35,7 +35,7 @@ class TestClientSkew:
     def test_small_lag_tolerated(self, ca):
         store = self._store_and_ca(ca)
         store.scpu.clock.advance(1000.0)
-        store.windows.refresh_current(force=True)
+        store.auth.windows.refresh_current(force=True)
         client = store.make_client(
             ca, clock=_OffsetClock(store.scpu.clock, -30.0))
         receipt = store.write([b"x"], retention_seconds=1e9)
@@ -48,7 +48,7 @@ class TestClientSkew:
     def test_small_lead_tolerated(self, ca):
         store = self._store_and_ca(ca)
         store.scpu.clock.advance(1000.0)
-        store.windows.refresh_current(force=True)
+        store.auth.windows.refresh_current(force=True)
         client = store.make_client(
             ca, clock=_OffsetClock(store.scpu.clock, 45.0))
         assert client.verify_read(store.read(999), 999).status == \
@@ -57,7 +57,7 @@ class TestClientSkew:
     def test_client_far_behind_rejects_future_constructs(self, ca):
         store = self._store_and_ca(ca)
         store.scpu.clock.advance(1000.0)
-        store.windows.refresh_current(force=True)
+        store.auth.windows.refresh_current(force=True)
         lagging = store.make_client(
             ca, clock=_OffsetClock(store.scpu.clock, -600.0))
         with pytest.raises(FreshnessError, match="future"):
@@ -65,7 +65,7 @@ class TestClientSkew:
 
     def test_client_far_ahead_sees_staleness(self, ca):
         store = self._store_and_ca(ca)
-        store.windows.refresh_current(force=True)
+        store.auth.windows.refresh_current(force=True)
         leading = store.make_client(
             ca, clock=_OffsetClock(store.scpu.clock, 10_000.0))
         with pytest.raises(FreshnessError, match="old"):

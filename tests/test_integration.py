@@ -101,7 +101,7 @@ class TestPropertyBased:
                         strength=strength)
         store.scpu.clock.advance(50.0)
         store.maintenance()
-        store.windows.refresh_current(force=True)
+        store.auth.windows.refresh_current(force=True)
         for sn in range(1, store.scpu.current_serial_number + 1):
             verified = client.verify_read(store.read(sn), sn)
             assert verified.status in ("active", "deleted")

@@ -118,7 +118,7 @@ class WormLifecycle(RuleBasedStateMachine):
 
     @invariant()
     def every_sn_accounted_for(self):
-        self.store.windows.refresh_current(force=True)
+        self.store.auth.windows.refresh_current(force=True)
         for sn in range(1, self.store.scpu.current_serial_number + 1):
             verified = self.client.verify_read(self.store.read(sn), sn)
             assert verified.status in ("active", "deleted")
@@ -175,7 +175,7 @@ class TestFaultInjection:
             payload = f"record number {i}".encode() * 4
             receipt = store.write([payload], retention_seconds=1e9)
             payloads[receipt.sn] = payload
-        store.windows.refresh_current(force=True)
+        store.auth.windows.refresh_current(force=True)
         return store, client, payloads
 
     @pytest.mark.parametrize("flip_byte", [0, 7, 31, -1])

@@ -24,7 +24,7 @@ def week():
     config = SimulationConfig(strengthen_when_idle=True,
                               maintenance_interval=300.0)
     simstore = make_sim_store(config=config, keyring=demo_keyring())
-    simstore.store.windows.refresh_interval = 120.0
+    simstore.store.auth.windows.refresh_interval = 120.0
     workload = DiurnalArrivals(
         size_dist=UniformSize(256, 8192),
         days=7,
@@ -76,7 +76,7 @@ class TestWeekInTheLife:
         store = simstore.store
         ca = CertificateAuthority(bits=512)
         client = store.make_client(ca)
-        store.windows.refresh_current(force=True)
+        store.auth.windows.refresh_current(force=True)
         # Sample-audit 500 SNs across the week (a full sweep of 50k+
         # records is run in the dedicated benchmark).
         frontier = store.scpu.current_serial_number
