@@ -170,3 +170,48 @@ class TestBaseProofs:
                           proof=BaseBoundProof(sn_base=base_env))
         with pytest.raises(VerificationError):
             client.verify_read(fake, receipt.sn)
+
+
+class TestSignatureMemo:
+    """The client's LRU memo of signatures that already verified."""
+
+    def test_signature_replayed_onto_other_bytes_misses(self, store, client):
+        receipt = store.write([b"memo"], policy="sox")
+        result = store.read(receipt.sn)
+        client.verify_read(result, receipt.sn)
+        vrd = result.vrd
+        # The genuine metasig bytes, over attributes with a shorter
+        # retention: one field differs, the signature is the same.
+        forged_attr = dataclasses.replace(vrd.attr, retention_seconds=1.0)
+        metasig = dataclasses.replace(vrd.metasig, envelope=dataclasses.replace(
+            vrd.metasig.envelope,
+            fields={**vrd.metasig.envelope.fields,
+                    "attr": forged_attr.canonical_bytes()}))
+        doctored = dataclasses.replace(vrd, attr=forged_attr, metasig=metasig)
+        hits, misses = client.sig_cache_hits, client.sig_cache_misses
+        with pytest.raises(VerificationError, match="signature check failed"):
+            client.verify_vrd(doctored, result.records)
+        assert (client.sig_cache_hits, client.sig_cache_misses) == (
+            hits, misses + 1)
+        # The genuine VRD still answers from the memo, both signatures.
+        assert client.verify_vrd(vrd, result.records)
+        assert (client.sig_cache_hits, client.sig_cache_misses) == (
+            hits + 2, misses + 1)
+
+    @pytest.mark.parametrize("size, counts", [(256, (4, 5)), (3, (2, 7))])
+    def test_lru_eviction_counts(self, store, ca, size, counts):
+        # Reads of a, b, a check S_s(SN_current), then metasig and
+        # datasig.  With room for all five signatures the third read is
+        # three hits.  With room for three, b's two misses evict a's
+        # metasig and datasig but not the S_s(SN_current) b just used,
+        # so each later read hits only that (a FIFO memo would give
+        # (1, 8)).
+        client = WormClient(ca_public_key=ca.root_public_key,
+                            certificates=store.certificates(ca),
+                            clock=store.scpu.clock,
+                            signature_cache_size=size)
+        a = store.write([b"a"]).sn
+        b = store.write([b"b"]).sn
+        for sn in (a, b, a):
+            assert client.verify_read(store.read(sn), sn).status == "active"
+        assert (client.sig_cache_hits, client.sig_cache_misses) == counts
