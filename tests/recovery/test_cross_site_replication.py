@@ -13,10 +13,14 @@ from __future__ import annotations
 import pytest
 
 from repro.core.errors import ReplicationError
+from repro.core.locator import RecordLocator
+from repro.crypto.envelope import Envelope, Purpose
 from repro.faults import FaultPlan
+from repro.hardware.scpu import Strength
 from repro.obs import TelemetryBus
-from repro.recovery import ReplicaSite, ReplicationArtifact
-from repro.recovery.drill import SMALL_SITE, build_primary, catch_up
+from repro.recovery import ReplicaSite, ReplicationArtifact, SiteRecovery
+from repro.recovery.drill import (SMALL_SITE, build_primary, build_standby,
+                                  catch_up)
 
 
 def _artifact(stream, seq, payload=None, created_at=0.0):
@@ -178,3 +182,44 @@ class TestPump:
         assert snapshot["counters"]["replication.artifacts_shipped"] >= 1
         assert snapshot["counters"]["replication.artifacts_applied"] >= 1
         assert snapshot["counters"]["replication.journal_ops"] >= 2
+
+    def test_vrds_re_signed_after_shipping_ship_again(self, ca,
+                                                      regulator_key):
+        # A hold and a strengthening replace shipped VRDs in place; the
+        # next delta must carry them, or a site recovered before the
+        # next snapshot rebuilds the record without its hold.
+        store, _, replica, pump = build_primary(
+            SMALL_SITE.replace(regulator_public_key=regulator_key.public),
+            ca=ca)
+        held = store.write([b"subpoenaed"], retention_seconds=60.0)
+        weak = store.write([b"burst"], strength=Strength.WEAK)
+        assert catch_up(pump)
+        timeout = store.now + 3600.0
+        credential = regulator_key.sign_envelope(Envelope(
+            purpose=Purpose.LITIGATION_CREDENTIAL,
+            fields={"sn": held.sn}, timestamp=store.now))
+        store.shard(held.shard_id).lit_hold(held.sn, credential,
+                                            hold_timeout=timeout)
+        store.shard(weak.shard_id).strengthen_vrds([weak.sn])
+        strong = store.shard(weak.shard_id).vrdt.get_active(weak.sn)
+        assert strong.metasig.key_fingerprint != weak.vrd.metasig.key_fingerprint
+        store.write_batch([b"after-%d" % i for i in range(4)])
+        assert catch_up(pump)
+
+        image = replica.materialize_shard(held.shard_id)["vrds"][held.sn]
+        assert image["attr"]["litigation_hold"] is True
+        image = replica.materialize_shard(weak.shard_id)["vrds"][weak.sn]
+        assert image["metasig"] == strong.metasig.to_dict()
+        assert image["datasig"] == strong.datasig.to_dict()
+
+        standby = build_standby()
+        report = SiteRecovery(replica, standby, ca).run()
+        assert report.complete
+        rebuilt = RecordLocator.unpack(
+            report.locator_mapping[held.locator.pack()])
+        shard = standby.shard(rebuilt.shard_id)
+        attr = shard.vrdt.get_active(rebuilt.sn).attr
+        assert attr.litigation_hold and attr.litigation_timeout == timeout
+        assert shard.expire_record(rebuilt.sn,
+                                   now=attr.expires_at + 1.0) == "held"
+        assert shard.vrdt.is_active(rebuilt.sn)
