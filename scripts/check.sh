@@ -71,6 +71,14 @@ echo "==> perf gate (all 7 committed BENCH_*.json regenerated and compared"
 echo "    byte for byte; re-baseline with make perf)"
 PYTHONPATH=src python -m repro.cli perf --check
 
+echo "==> perfbench smoke (each workload, one traced second, exit 0)"
+# perfbench imports program internals and wraps layer methods by name;
+# this catches a change that breaks it before a full benchmark run does.
+for workload in ingest audit_read lifecycle site_recovery; do
+    python perfbench/run.py --workload "$workload" --seed 1 --seconds 1 \
+        --trace 1 >/dev/null
+done
+
 echo "==> contract gate (service RC suites + multi-tenant overload bench)"
 PYTHONPATH=src python -m pytest -x -q tests/service
 PYTHONPATH=src python -m repro.cli tenant-bench >/dev/null
