@@ -118,7 +118,7 @@ class SigningKey:
         """:meth:`sign_envelope` each of *envelopes*, in one signing batch
         (:meth:`~repro.crypto.rsa.RsaPrivateKey.sign_many`)."""
         signatures = self.keypair.private.sign_many(
-            [envelope.canonical_bytes() for envelope in envelopes],
+            [envelope.signed_bytes() for envelope in envelopes],
             hash_name=self.hash_name)
         fingerprint = self.fingerprint
         return [SignedEnvelope(envelope=envelope, signature=signature,
