@@ -407,7 +407,8 @@ class ShardedWormStore:
         (their inputs are not journalable payload bytes).
         """
         shard_id = self._pick_shard()
-        entry_id = self._journal_direct(records, write_kwargs)
+        entry_id = (self._journal_direct(records, write_kwargs)[0]
+                    if len(records) == 1 else None)
 
         def commit(target: int) -> ShardedWriteReceipt:
             receipt = self._stores[target].write(records, **write_kwargs)
@@ -420,20 +421,30 @@ class ShardedWormStore:
                                          [wrapped.locator.pack()])
         return wrapped
 
-    def _journal_direct(self, records: Sequence[bytes],
-                        write_kwargs: Dict) -> Optional[int]:
-        """Journal a direct single-payload write, when journalable."""
-        if (self._journal is None or len(records) != 1
-                or not isinstance(records[0], (bytes, bytearray))):
-            return None
+    def _journal_direct(self, payloads: Sequence[bytes],
+                        write_kwargs: Dict) -> List[Optional[int]]:
+        """Journal direct one-record writes in one append.
+
+        Returns each payload's entry id, ``None`` where it was not
+        journalable (a shared descriptor rather than payload bytes).
+        """
+        entry_ids: List[Optional[int]] = [None] * len(payloads)
+        slots = [index for index, payload in enumerate(payloads)
+                 if isinstance(payload, (bytes, bytearray))]
+        if self._journal is None or not slots:
+            return entry_ids
         try:
-            return self._journal.append(bytes(records[0]),
-                                        dict(write_kwargs))
+            journalled = self._journal.append_many(
+                [bytes(payloads[index]) for index in slots],
+                dict(write_kwargs))
         except JournalError:
             # Non-JSON-safe kwargs (e.g. shared descriptors): the write
             # is synchronous anyway — proceed unjournalled, exactly as
             # this path behaved before journaling was added to it.
-            return None
+            return entry_ids
+        for index, entry_id in zip(slots, journalled):
+            entry_ids[index] = entry_id
+        return entry_ids
 
     def _enqueue(self, payload: bytes, kwargs: Dict,
                  entry_id: Optional[int],
@@ -460,21 +471,48 @@ class ShardedWormStore:
                **write_kwargs) -> Optional[List[ShardedWriteReceipt]]:
         """Queue one record for the next group commit (best-effort path).
 
-        The record is journalled (when an intent journal is attached),
-        assigned a shard round-robin, and parked with other pending
-        records that share its write parameters.  When a shard's pending
-        group reaches ``config.group_commit_size`` it flushes
-        automatically — failing over to healthy shards if its own SCPU
-        has died — and the flushed receipts are returned; otherwise
-        returns ``None`` (call :meth:`flush` to force the commit).
+        :meth:`submit_many` of one *payload* under its *tag*, without
+        the list handling: the one-record path is the hot one.
+        """
+        if not isinstance(payload, (bytes, bytearray)):
+            raise TypeError("submit() takes one record payload (bytes)")
+        payload = bytes(payload)
+        entry_id: Optional[int] = None
+        if self._journal is not None:
+            try:
+                entry_id = self._journal.append(payload, dict(write_kwargs),
+                                                tag=tag)
+            except JournalError:
+                # Opaque in-memory-only tags are still allowed; they
+                # just don't survive a restart (the pre-tag-journal
+                # contract).  The payload itself must journal.
+                entry_id = self._journal.append(payload, dict(write_kwargs))
+        return self._queue(payload, write_kwargs, entry_id, tag)
 
-        *tag* is an opaque, hashable correlation handle: when the record
-        eventually group-commits — on this call, a later :meth:`submit`,
-        or a :meth:`flush` — its receipt is filed under the tag for
+    def submit_many(self, payloads: Sequence[bytes],
+                    tags: Optional[Sequence[Optional[object]]] = None,
+                    **write_kwargs) -> Optional[List[ShardedWriteReceipt]]:
+        """Queue records for the next group commit (best-effort path).
+
+        The records are journalled in one append (when an intent journal
+        is attached), then each is assigned a shard round-robin and
+        parked with other pending records that share its write
+        parameters.  When a shard's pending group reaches
+        ``config.group_commit_size`` it flushes automatically — failing
+        over to healthy shards if its own SCPU has died — and the
+        flushed receipts are returned; otherwise returns ``None`` (call
+        :meth:`flush` to force the commit).
+
+        *tags*, when given, parallels *payloads*.  A tag is an opaque,
+        hashable correlation handle: when its record eventually
+        group-commits — on this call, a later submission, or a
+        :meth:`flush` — its receipt is filed under the tag for
         :meth:`take_tagged_receipts` to drain.  This is how a front-end
         that acknowledged a deferred write (a 202) later resolves the
-        acknowledgement to a durable locator.  Tags are in-memory only:
-        after a crash, replayed journal entries re-commit untagged.
+        acknowledgement to a durable locator.  Tags that are not
+        JSON-safe stay in memory only: the batch is then journalled
+        without tags, and after a crash its replayed entries re-commit
+        untagged.
 
         This path never raises :class:`DegradedError`: if the commit
         cannot land anywhere *right now* (every candidate transiently
@@ -482,36 +520,49 @@ class ShardedWormStore:
         the next flush.  Only total loss of the trust anchors (every
         card zeroized) raises, with :class:`TamperedError`.
         """
-        if not isinstance(payload, (bytes, bytearray)):
-            raise TypeError("submit() takes one record payload (bytes)")
-        entry_id: Optional[int] = None
+        if isinstance(payloads, (bytes, bytearray)) or not all(
+                isinstance(p, (bytes, bytearray)) for p in payloads):
+            raise TypeError("submitted record payloads must be bytes")
+        payloads = [bytes(payload) for payload in payloads]
+        tags = [None] * len(payloads) if tags is None else list(tags)
+        if len(tags) != len(payloads):
+            raise ValueError(f"{len(tags)} tags for {len(payloads)} payloads")
+        entry_ids: Sequence[Optional[int]] = [None] * len(payloads)
         if self._journal is not None:
             try:
-                entry_id = self._journal.append(bytes(payload),
-                                                dict(write_kwargs), tag=tag)
+                entry_ids = self._journal.append_many(
+                    payloads, dict(write_kwargs), tags)
             except JournalError:
-                # Opaque in-memory-only tags are still allowed; they
-                # just don't survive a restart (the pre-tag-journal
-                # contract).  The payload itself must journal.
-                entry_id = self._journal.append(bytes(payload),
-                                                dict(write_kwargs))
-        shard_id, key, group = self._enqueue(bytes(payload), write_kwargs,
+                # As in submit: the payloads must journal, tags need not.
+                entry_ids = self._journal.append_many(
+                    payloads, dict(write_kwargs))
+        flushed: List[ShardedWriteReceipt] = []
+        for payload, entry_id, tag in zip(payloads, entry_ids, tags):
+            flushed.extend(self._queue(payload, write_kwargs, entry_id, tag)
+                           or ())
+        return flushed or None
+
+    def _queue(self, payload: bytes, write_kwargs: Dict,
+               entry_id: Optional[int], tag: Optional[object]
+               ) -> Optional[List[ShardedWriteReceipt]]:
+        """Park one journalled record; auto-flush its group when full."""
+        shard_id, key, group = self._enqueue(payload, write_kwargs,
                                              entry_id, tag)
-        if len(group.payloads) >= max(1, self.config.group_commit_size):
-            del self._pending[shard_id][key]
-            try:
-                return self._commit_with_failover(shard_id, group)
-            except (TamperedError, CrashError):
-                # Total trust-anchor loss, or the (injected) death of
-                # this very process: both outrank best-effort.
-                self._restore_group(shard_id, key, group)
-                raise
-            except WormError:
-                # Best-effort: keep the records queued (and journalled)
-                # for the next flush rather than bouncing the ingest.
-                self._restore_group(shard_id, key, group)
-                return None
-        return None
+        if len(group.payloads) < max(1, self.config.group_commit_size):
+            return None
+        del self._pending[shard_id][key]
+        try:
+            return self._commit_with_failover(shard_id, group)
+        except (TamperedError, CrashError):
+            # Total trust-anchor loss, or the (injected) death of
+            # this very process: both outrank best-effort.
+            self._restore_group(shard_id, key, group)
+            raise
+        except WormError:
+            # Best-effort: keep the records queued (and journalled)
+            # for the next flush rather than bouncing the ingest.
+            self._restore_group(shard_id, key, group)
+            return None
 
     @property
     def pending_count(self) -> int:
@@ -567,8 +618,9 @@ class ShardedWormStore:
         records per signature.  Concurrent batches (the closed-loop
         drivers issue one per worker) still spread across every shard.
         Receipts come back in input order.  With an intent journal
-        attached, each payload is journalled before its commit and
-        acknowledged with its locator, like :meth:`submit`.
+        attached, the payloads are journalled in one append before any
+        commit, and each is acknowledged with its locator, like
+        :meth:`submit`.
         """
         if isinstance(payloads, (bytes, bytearray)):
             raise TypeError("pass a sequence of record payloads")
@@ -582,8 +634,9 @@ class ShardedWormStore:
             for payload in payloads[start:start + chunk]:
                 order.append((shard_id, len(slots[shard_id])))
                 slots[shard_id].append(payload)
-                entry_slots[shard_id].append(
-                    self._journal_direct([payload], write_kwargs))
+        for (shard_id, _), entry_id in zip(
+                order, self._journal_direct(payloads, write_kwargs)):
+            entry_slots[shard_id].append(entry_id)
         per_shard: Dict[int, List[ShardedWriteReceipt]] = {}
         for shard_id, batch in enumerate(slots):
             if batch:

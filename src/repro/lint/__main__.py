@@ -77,13 +77,25 @@ def _list_rules() -> str:
     return "\n".join(lines)
 
 
+def _git(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(["git", *args], capture_output=True, text=True)
+
+
 def _baseline_gate(baseline_path: Path, ref: str) -> int:
-    """0 when the baseline did not grow since *ref*, 1 otherwise."""
-    proc = subprocess.run(
-        ["git", "show", f"{ref}:{baseline_path.as_posix()}"],
-        capture_output=True, text=True)
+    """0 when the baseline did not grow since *ref*, 1 when it did, and
+    2 when git cannot resolve *ref* (or there is no work tree)."""
+    for check in (["rev-parse", "--is-inside-work-tree"],
+                  ["rev-parse", "--verify", f"{ref}^{{commit}}"]):
+        proc = _git(*check)
+        if proc.returncode != 0 or proc.stdout.strip() == "false":
+            print(f"wormlint: cannot read the baseline at {ref}: "
+                  f"{proc.stderr.strip() or 'not in a git work tree'}",
+                  file=sys.stderr)
+            return 2
+    proc = _git("show", f"{ref}:{baseline_path.as_posix()}")
     if proc.returncode != 0:
-        # No baseline at the ref (new file there counts as empty).
+        # REF resolves but has no baseline: it predates the file, so the
+        # baseline there counts as empty.
         old = Baseline.empty()
     else:
         old = Baseline.loads(proc.stdout, f"{ref}:{baseline_path}")

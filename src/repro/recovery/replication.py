@@ -573,13 +573,15 @@ class ReplicationPump:
 class ReplicatedIntentJournal(IntentJournal):
     """An intent journal whose every operation is mirrored to a standby.
 
-    Wraps any :class:`IntentJournal` backend; ``append`` and
-    ``mark_committed`` first land locally, then ship synchronously over
-    the transport's :meth:`~ReplicationTransport.send_sync` path and
-    apply at the :class:`ReplicaSite` before returning — so the moment
-    an ingest is acknowledged, its intent exists at both sites.  When
-    the link is down past the transport's retry budget the operation
-    raises :class:`~repro.core.errors.ReplicationError` instead of
+    Wraps any :class:`IntentJournal` backend; ``append_many`` and
+    ``mark_committed`` first land locally (one inner call each), then
+    ship synchronously over the transport's
+    :meth:`~ReplicationTransport.send_sync` path, one artifact per
+    appended entry, and apply at the :class:`ReplicaSite` before
+    returning — so the moment an ingest is acknowledged, its intent
+    exists at both sites.  When the link is down past the transport's
+    retry budget the operation raises
+    :class:`~repro.core.errors.ReplicationError` instead of
     acknowledging an unreplicated write.
 
     ``mark_committed`` mirrors best-effort by design: the write it
@@ -620,16 +622,19 @@ class ReplicatedIntentJournal(IntentJournal):
 
     # -- IntentJournal surface ---------------------------------------------------
 
-    def append(self, payload: bytes, kwargs: Dict[str, Any],
-               tag: Optional[object] = None) -> int:
-        entry_id = self.inner.append(payload, kwargs, tag=tag)
-        op: Dict[str, Any] = {"op": "append", "id": entry_id,
-                              "payload": bytes(payload).hex(),
-                              "kwargs": dict(kwargs)}
-        if tag is not None:
-            op["tag"] = _tag_to_json(tag)
-        self._mirror(op, len(payload) + 128)
-        return entry_id
+    def append_many(self, payloads: Sequence[bytes], kwargs: Dict[str, Any],
+                    tags: Optional[Sequence[Optional[object]]] = None
+                    ) -> List[int]:
+        entry_ids = self.inner.append_many(payloads, kwargs, tags)
+        for entry_id, payload, tag in zip(
+                entry_ids, payloads, tags or [None] * len(payloads)):
+            op: Dict[str, Any] = {"op": "append", "id": entry_id,
+                                  "payload": bytes(payload).hex(),
+                                  "kwargs": dict(kwargs)}
+            if tag is not None:
+                op["tag"] = _tag_to_json(tag)
+            self._mirror(op, len(payload) + 128)
+        return entry_ids
 
     def mark_committed(self, entry_ids: Iterable[int],
                        locators: Optional[Sequence[str]] = None) -> None:

@@ -321,16 +321,23 @@ class WormService:
             f"(cap {state.config.max_deferred})",
             retry_after=state.bucket.retry_after(now, n))
 
-    def _defer(self, state: TenantState, payload: bytes,
-               kwargs: Dict[str, object], now: float) -> str:
-        self._ticket_seq += 1
-        ticket = f"{state.config.name}-t{self._ticket_seq}"
-        state.tickets[ticket] = DeferredTicket(ticket=ticket, submitted_at=now)
-        state.deferred += 1
-        self.obs.inc("service.deferred")
-        self._store.submit(payload, tag=(state.config.name, ticket), **kwargs)
-        self._pump()  # the submit may have auto-flushed a full group
-        return ticket
+    def _defer(self, state: TenantState, payloads: List[bytes],
+               kwargs: Dict[str, object], now: float) -> List[str]:
+        """Queue *payloads* as one journalled batch; one ticket each."""
+        tickets = []
+        for _ in payloads:
+            self._ticket_seq += 1
+            ticket = f"{state.config.name}-t{self._ticket_seq}"
+            state.tickets[ticket] = DeferredTicket(ticket=ticket,
+                                                   submitted_at=now)
+            tickets.append(ticket)
+        state.deferred += len(payloads)
+        self.obs.inc("service.deferred", len(payloads))
+        self._store.submit_many(
+            payloads, [(state.config.name, ticket) for ticket in tickets],
+            **kwargs)
+        self._pump()  # the submit may have auto-flushed full groups
+        return tickets
 
     # -------------------------------------------------------------- operations
 
@@ -355,7 +362,7 @@ class WormService:
             return 201, {"locator": self._scope(state, packed),
                          "sn": receipt.locator.sn,
                          "shard": receipt.locator.shard_id}
-        ticket = self._defer(state, payload, kwargs, now)
+        ticket = self._defer(state, [payload], kwargs, now)[0]
         return 202, {"ticket": ticket, "state": "pending"}
 
     def _op_write_batch(self, state: TenantState, params: Dict[str, object],
@@ -378,8 +385,7 @@ class WormService:
             state.accepted += len(receipts)
             self.obs.inc("service.accepted", len(receipts))
             return 201, {"locators": locators}
-        tickets = [self._defer(state, payload, kwargs, now)
-                   for payload in payloads]
+        tickets = self._defer(state, payloads, kwargs, now)
         return 202, {"tickets": tickets, "state": "pending"}
 
     def _op_read(self, state: TenantState, params: Dict[str, object],

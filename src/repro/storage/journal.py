@@ -5,9 +5,10 @@ accepted record exists only in main-CPU memory — a host crash there
 would silently lose it.  The intent journal closes that hole with the
 classic write-ahead discipline:
 
-* ``append`` — before a record enters the pending queue, its payload and
-  write parameters (and, optionally, the caller's correlation *tag*) are
-  journalled and assigned an entry id;
+* ``append_many`` — before records enter the pending queue, their
+  payloads and shared write parameters (and, optionally, each caller's
+  correlation *tag*) are journalled and assigned entry ids, one call per
+  write request (``append`` is its batch of one);
 * ``mark_committed`` — after its group commit succeeds (the SCPU has
   witnessed the VR), the entry is acknowledged; the committed record's
   packed locator may ride along, so downstream consumers (cross-site
@@ -40,6 +41,7 @@ either and mirrors every operation to a standby site.
 
 from __future__ import annotations
 
+import binascii
 import json
 import os
 from abc import ABC, abstractmethod
@@ -99,16 +101,27 @@ def _check_kwargs(kwargs: Dict[str, Any]) -> Dict[str, Any]:
             f"{kwargs!r}") from exc
 
 
-def _check_tag(tag: Optional[object]) -> Optional[object]:
-    """Tags ride the journal too, so they must be JSON-safe as well."""
-    if tag is None:
-        return None
-    try:
-        json.dumps(_tag_to_json(tag))
-    except (TypeError, ValueError) as exc:
-        raise JournalError(
-            f"a journalled tag must be JSON-safe: {tag!r}") from exc
-    return tag
+def _tag_texts(tags: Optional[Sequence[Optional[object]]],
+               count: int) -> List[Optional[str]]:
+    """Each tag's JSON text (``None`` when untagged).
+
+    Tags ride the journal too, so they must be JSON-safe as well.
+    """
+    if tags is None:
+        return [None] * count
+    if len(tags) != count:
+        raise ValueError(f"{len(tags)} tags for {count} payloads")
+    texts: List[Optional[str]] = []
+    for tag in tags:
+        if tag is None:
+            texts.append(None)
+            continue
+        try:
+            texts.append(json.dumps(_tag_to_json(tag)))
+        except (TypeError, ValueError) as exc:
+            raise JournalError(
+                f"a journalled tag must be JSON-safe: {tag!r}") from exc
+    return texts
 
 
 def _tag_to_json(tag: Optional[object]) -> Optional[object]:
@@ -123,6 +136,22 @@ def _tag_from_json(value: Optional[object]) -> Optional[object]:
     if isinstance(value, list):
         return tuple(value)
     return value
+
+
+_SUBMIT_LINE = (b'{"op": "submit", "id": %d, "payload": "%b", '
+                b'"kwargs": %b%b}\n')
+
+
+def _submit_line(entry_id: int, payload: bytes, kwargs_text: bytes,
+                 tag_text: Optional[str]) -> bytes:
+    """A submit record's ``json.dumps(record) + "\\n"``, as bytes.
+
+    The payload's hex goes in as it is: hex needs no JSON escaping, so
+    it is neither scanned for characters to escape nor copied again.
+    """
+    tag = b"" if tag_text is None else b', "tag": ' + tag_text.encode()
+    return _SUBMIT_LINE % (entry_id, binascii.hexlify(payload),
+                           kwargs_text, tag)
 
 
 class LedgerFold:
@@ -180,12 +209,31 @@ class LedgerFold:
 
 
 class IntentJournal(ABC):
-    """Interface of the submit-intent journal."""
+    """Interface of the submit-intent journal.
 
-    @abstractmethod
+    :meth:`append_many` is every backend's one write path: a durable
+    backend fsyncs each call, however many records it carries, so a
+    write request pays for durability once.  :meth:`append` is its
+    batch of one.
+    """
+
     def append(self, payload: bytes, kwargs: Dict[str, Any],
                tag: Optional[object] = None) -> int:
         """Durably record one submission; returns its entry id."""
+        return self.append_many([payload], kwargs, [tag])[0]
+
+    @abstractmethod
+    def append_many(self, payloads: Sequence[bytes], kwargs: Dict[str, Any],
+                    tags: Optional[Sequence[Optional[object]]] = None
+                    ) -> List[int]:
+        """Durably record submissions that share *kwargs*, in order.
+
+        Returns their entry ids.  *tags*, when given, parallels
+        *payloads* (``None`` for an untagged one).  The kwargs and every
+        tag are checked before anything is recorded: one that is not
+        JSON-safe raises :class:`JournalError` and journals none of the
+        batch.
+        """
 
     @abstractmethod
     def mark_committed(self, entry_ids: Iterable[int],
@@ -229,18 +277,23 @@ class MemoryIntentJournal(IntentJournal):
         self._outcomes: Dict[int, Any] = {}
         self._history: Dict[int, JournalEntry] = {}
 
-    def append(self, payload: bytes, kwargs: Dict[str, Any],
-               tag: Optional[object] = None) -> int:
-        entry_id = self._next_id
-        self._next_id += 1
-        entry = JournalEntry(
-            entry_id=entry_id, payload=bytes(payload),
-            kwargs=_check_kwargs(kwargs), tag=_check_tag(tag))
-        self._entries[entry_id] = entry
-        self._history[entry_id] = entry
-        self._outcomes[entry_id] = (False, None)
-        self._order.append(entry_id)
-        return entry_id
+    def append_many(self, payloads: Sequence[bytes], kwargs: Dict[str, Any],
+                    tags: Optional[Sequence[Optional[object]]] = None
+                    ) -> List[int]:
+        checked = _check_kwargs(kwargs)
+        _tag_texts(tags, len(payloads))  # every tag checked before any entry
+        entry_ids: List[int] = []
+        for payload, tag in zip(payloads, tags or [None] * len(payloads)):
+            entry_id = self._next_id
+            self._next_id += 1
+            entry = JournalEntry(entry_id=entry_id, payload=bytes(payload),
+                                 kwargs=dict(checked), tag=tag)
+            self._entries[entry_id] = entry
+            self._history[entry_id] = entry
+            self._outcomes[entry_id] = (False, None)
+            self._order.append(entry_id)
+            entry_ids.append(entry_id)
+        return entry_ids
 
     def mark_committed(self, entry_ids: Iterable[int],
                        locators: Optional[Sequence[str]] = None) -> None:
@@ -274,11 +327,15 @@ class FileIntentJournal(IntentJournal):
 
     Records two line kinds — ``{"op": "submit", ...}`` and
     ``{"op": "commit", "ids": [...], "locators": [...]}`` — and fsyncs
-    each append, so the recoverable set is exactly what a crashed
-    process had acknowledged to its callers.  :meth:`compact` rewrites
-    the file down to the unacknowledged entries (call it from a
-    maintenance window; replay correctness never requires it — but it
-    discards ledger history for the compacted-away entries).
+    each call, so the recoverable set is exactly what a crashed
+    process had acknowledged to its callers.  An :meth:`append_many`
+    writes one submit line per payload through one handle and fsyncs
+    once; a crash that tears it leaves a prefix of its bytes, whose
+    complete lines replay (none was acknowledged) and whose torn last
+    line is healed on open.  :meth:`compact` rewrites the file down to
+    the unacknowledged entries (call it from a maintenance window;
+    replay correctness never requires it — but it discards ledger
+    history for the compacted-away entries).
     """
 
     def __init__(self, path: os.PathLike) -> None:
@@ -286,7 +343,9 @@ class FileIntentJournal(IntentJournal):
         self._path.parent.mkdir(parents=True, exist_ok=True)
         self._next_id = 1
         self._heal_torn_tail()
-        self._load()  # seeds _next_id past every id ever journalled
+        # The scan seeds _next_id past every id ever journalled; after
+        # it, each fsynced append or commit mark keeps the pending ids.
+        self._pending = {entry.entry_id for entry in self._load()}
 
     @property
     def path(self) -> Path:
@@ -342,23 +401,30 @@ class FileIntentJournal(IntentJournal):
     def _line_count(self) -> int:
         return len(self._path.read_text().splitlines())
 
-    def _append_line(self, record: Dict[str, Any]) -> None:
-        with open(self._path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record) + "\n")
+    def _append_lines(self, lines: Iterable[bytes]) -> None:
+        """Append *lines* through one handle, then fsync once."""
+        with open(self._path, "ab") as handle:
+            for line in lines:  # wormlint: disable=W009 - file writes, not card crossings
+                handle.write(line)
             handle.flush()
             os.fsync(handle.fileno())
 
-    def append(self, payload: bytes, kwargs: Dict[str, Any],
-               tag: Optional[object] = None) -> int:
-        entry_id = self._next_id
-        self._next_id += 1
-        record = {"op": "submit", "id": entry_id,
-                  "payload": bytes(payload).hex(),
-                  "kwargs": _check_kwargs(kwargs)}
-        if _check_tag(tag) is not None:
-            record["tag"] = _tag_to_json(tag)
-        self._append_line(record)
-        return entry_id
+    def append_many(self, payloads: Sequence[bytes], kwargs: Dict[str, Any],
+                    tags: Optional[Sequence[Optional[object]]] = None
+                    ) -> List[int]:
+        kwargs_text = json.dumps(_check_kwargs(kwargs)).encode()
+        tag_texts = _tag_texts(tags, len(payloads))
+        if not payloads:
+            return []
+        first = self._next_id
+        self._next_id += len(payloads)
+        entry_ids = list(range(first, self._next_id))
+        self._append_lines(
+            _submit_line(entry_id, payload, kwargs_text, tag_text)
+            for entry_id, payload, tag_text
+            in zip(entry_ids, payloads, tag_texts))
+        self._pending.update(entry_ids)
+        return entry_ids
 
     def mark_committed(self, entry_ids: Iterable[int],
                        locators: Optional[Sequence[str]] = None) -> None:
@@ -368,13 +434,14 @@ class FileIntentJournal(IntentJournal):
         record: Dict[str, Any] = {"op": "commit", "ids": ids}
         if locators is not None:
             record["locators"] = list(locators)
-        self._append_line(record)
+        self._append_lines([(json.dumps(record) + "\n").encode()])
+        self._pending.difference_update(ids)
 
     def replay(self) -> List[JournalEntry]:
         return self._load()
 
     def pending_count(self) -> int:
-        return len(self._load())
+        return len(self._pending)
 
     def ledger(self) -> List[LedgerEntry]:
         return self._scan()
@@ -388,15 +455,14 @@ class FileIntentJournal(IntentJournal):
         """
         live = self._load()
         tmp = self._path.with_suffix(self._path.suffix + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            for entry in live:
-                record = {"op": "submit", "id": entry.entry_id,
-                          "payload": entry.payload.hex(),
-                          "kwargs": entry.kwargs}
-                if entry.tag is not None:
-                    record["tag"] = _tag_to_json(entry.tag)
-                handle.write(json.dumps(record) + "\n")
+        tag_texts = _tag_texts([entry.tag for entry in live], len(live))
+        with open(tmp, "wb") as handle:
+            for entry, tag_text in zip(live, tag_texts):  # wormlint: disable=W009 - file writes, not card crossings
+                handle.write(_submit_line(
+                    entry.entry_id, entry.payload,
+                    json.dumps(entry.kwargs).encode(), tag_text))
             handle.flush()
             os.fsync(handle.fileno())
         tmp.replace(self._path)
         return len(live)
+

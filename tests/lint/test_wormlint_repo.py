@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -130,6 +131,56 @@ def test_cli_baseline_gate_against_head():
     proc = _run_cli("--baseline-gate", "HEAD", "src", "tests")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "did not grow" in proc.stdout
+
+
+def _gate_in(tmp_path: Path, ref: str) -> subprocess.CompletedProcess:
+    """The baseline gate run in *tmp_path*, git kept from looking above it."""
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"),
+               GIT_CEILING_DIRECTORIES=str(tmp_path.parent))
+    return subprocess.run(
+        [sys.executable, "-m", "repro.lint", "--baseline-gate", ref],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_cli_baseline_gate_exits_two_on_an_unresolvable_ref():
+    proc = _run_cli("--baseline-gate", "no-such-ref-for-the-gate")
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "no-such-ref-for-the-gate" in proc.stderr
+    assert "grew" not in proc.stderr
+
+
+def test_cli_baseline_gate_exits_two_outside_a_work_tree(tmp_path):
+    """An exported tree (no .git) cannot read the base: not "grew"."""
+    shutil.copy(REPO_ROOT / DEFAULT_BASELINE_NAME,
+                tmp_path / DEFAULT_BASELINE_NAME)
+    proc = _gate_in(tmp_path, "HEAD")
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "git" in proc.stderr
+    assert "grew" not in proc.stderr
+
+
+def test_cli_baseline_gate_counts_a_ref_before_the_file_as_empty(tmp_path):
+    def git(*args: str) -> None:
+        subprocess.run(["git", "-c", "user.name=gate", "-c",
+                        "user.email=gate@example.invalid", *args],
+                       cwd=tmp_path, check=True, capture_output=True,
+                       env=dict(os.environ,
+                                GIT_CEILING_DIRECTORIES=str(tmp_path.parent)))
+
+    git("init", "-q")
+    (tmp_path / "README").write_text("before the baseline\n")
+    git("add", "README")
+    git("commit", "-q", "-m", "no baseline yet")
+    Baseline.empty().dump(tmp_path / DEFAULT_BASELINE_NAME)
+    proc = _gate_in(tmp_path, "HEAD")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "did not grow" in proc.stdout
+    # Against that empty base, every entry of a non-empty file is growth.
+    shutil.copy(REPO_ROOT / DEFAULT_BASELINE_NAME,
+                tmp_path / DEFAULT_BASELINE_NAME)
+    proc = _gate_in(tmp_path, "HEAD")
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "grew" in proc.stderr
 
 
 def test_cli_diff_mode_runs_clean_against_head():
