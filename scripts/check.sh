@@ -51,13 +51,16 @@ echo "==> dev mode (crypto + hardware + storage under -X dev," \
     "ResourceWarning fatal)"
 # A warning at interpreter shutdown (a helper process still running, an
 # unclosed pipe) does not change pytest's exit code, so stderr is
-# searched too.  Test output goes to stdout; stderr is captured.  The
-# storage suite is here so every journal file handle is seen closed.
+# searched too.  Test output goes to stdout (fd 3, opened on this
+# script's stdout before the substitution); only stderr is captured.
+# The storage suite is here so every journal file handle is seen closed.
 DEV_STATUS=0
-DEV_ERR=$( { PYTHONPATH=src python -X dev -W error::ResourceWarning \
+exec 3>&1
+DEV_ERR=$(PYTHONPATH=src python -X dev -W error::ResourceWarning \
     -m pytest -x -q tests/crypto tests/hardware tests/storage \
-    2>&1 1>&3 3>&-; } 3>&1 ) \
+    2>&1 1>&3 3>&-) \
     || DEV_STATUS=$?
+exec 3>&-
 [ -z "$DEV_ERR" ] || printf '%s\n' "$DEV_ERR" >&2
 if [ "$DEV_STATUS" -ne 0 ] || printf '%s' "$DEV_ERR" | grep -q ResourceWarning
 then

@@ -452,8 +452,10 @@ class ShardedWormStore:
                  ) -> Tuple[int, Tuple, _PendingGroup]:
         shard_id = self._pick_shard()
         key = _group_key(kwargs)
-        group = self._pending[shard_id].setdefault(
-            key, _PendingGroup(kwargs=dict(kwargs)))
+        pending = self._pending[shard_id]
+        group = pending.get(key)
+        if group is None:
+            group = pending[key] = _PendingGroup(kwargs=dict(kwargs))
         group.add(payload, entry_id, tag)
         return shard_id, key, group
 
@@ -469,25 +471,11 @@ class ShardedWormStore:
 
     def submit(self, payload: bytes, tag: Optional[object] = None,
                **write_kwargs) -> Optional[List[ShardedWriteReceipt]]:
-        """Queue one record for the next group commit (best-effort path).
-
-        :meth:`submit_many` of one *payload* under its *tag*, without
-        the list handling: the one-record path is the hot one.
-        """
+        """Queue one record for the next group commit (best-effort path):
+        :meth:`submit_many` of one *payload* under its *tag*."""
         if not isinstance(payload, (bytes, bytearray)):
             raise TypeError("submit() takes one record payload (bytes)")
-        payload = bytes(payload)
-        entry_id: Optional[int] = None
-        if self._journal is not None:
-            try:
-                entry_id = self._journal.append(payload, dict(write_kwargs),
-                                                tag=tag)
-            except JournalError:
-                # Opaque in-memory-only tags are still allowed; they
-                # just don't survive a restart (the pre-tag-journal
-                # contract).  The payload itself must journal.
-                entry_id = self._journal.append(payload, dict(write_kwargs))
-        return self._queue(payload, write_kwargs, entry_id, tag)
+        return self.submit_many([payload], [tag], **write_kwargs)
 
     def submit_many(self, payloads: Sequence[bytes],
                     tags: Optional[Sequence[Optional[object]]] = None,
@@ -520,49 +508,45 @@ class ShardedWormStore:
         the next flush.  Only total loss of the trust anchors (every
         card zeroized) raises, with :class:`TamperedError`.
         """
-        if isinstance(payloads, (bytes, bytearray)) or not all(
-                isinstance(p, (bytes, bytearray)) for p in payloads):
+        if isinstance(payloads, (bytes, bytearray)):
             raise TypeError("submitted record payloads must be bytes")
-        payloads = [bytes(payload) for payload in payloads]
-        tags = [None] * len(payloads) if tags is None else list(tags)
-        if len(tags) != len(payloads):
-            raise ValueError(f"{len(tags)} tags for {len(payloads)} payloads")
-        entry_ids: Sequence[Optional[int]] = [None] * len(payloads)
+        records: List[bytes] = []
+        for payload in payloads:
+            if not isinstance(payload, (bytes, bytearray)):
+                raise TypeError("submitted record payloads must be bytes")
+            records.append(bytes(payload))
+        tags = [None] * len(records) if tags is None else list(tags)
+        if len(tags) != len(records):
+            raise ValueError(f"{len(tags)} tags for {len(records)} payloads")
+        entry_ids: Sequence[Optional[int]] = [None] * len(records)
         if self._journal is not None:
             try:
-                entry_ids = self._journal.append_many(
-                    payloads, dict(write_kwargs), tags)
+                entry_ids = self._journal.append_many(records, write_kwargs,
+                                                      tags)
             except JournalError:
-                # As in submit: the payloads must journal, tags need not.
-                entry_ids = self._journal.append_many(
-                    payloads, dict(write_kwargs))
+                # Opaque in-memory-only tags are still allowed; they
+                # just don't survive a restart (the pre-tag-journal
+                # contract).  The payloads themselves must journal.
+                entry_ids = self._journal.append_many(records, write_kwargs)
         flushed: List[ShardedWriteReceipt] = []
-        for payload, entry_id, tag in zip(payloads, entry_ids, tags):
-            flushed.extend(self._queue(payload, write_kwargs, entry_id, tag)
-                           or ())
+        for payload, entry_id, tag in zip(records, entry_ids, tags):
+            shard_id, key, group = self._enqueue(payload, write_kwargs,
+                                                 entry_id, tag)
+            if len(group.payloads) < max(1, self.config.group_commit_size):
+                continue
+            del self._pending[shard_id][key]
+            try:
+                flushed.extend(self._commit_with_failover(shard_id, group))
+            except (TamperedError, CrashError):
+                # Total trust-anchor loss, or the (injected) death of
+                # this very process: both outrank best-effort.
+                self._restore_group(shard_id, key, group)
+                raise
+            except WormError:
+                # Best-effort: keep the records queued (and journalled)
+                # for the next flush rather than bouncing the ingest.
+                self._restore_group(shard_id, key, group)
         return flushed or None
-
-    def _queue(self, payload: bytes, write_kwargs: Dict,
-               entry_id: Optional[int], tag: Optional[object]
-               ) -> Optional[List[ShardedWriteReceipt]]:
-        """Park one journalled record; auto-flush its group when full."""
-        shard_id, key, group = self._enqueue(payload, write_kwargs,
-                                             entry_id, tag)
-        if len(group.payloads) < max(1, self.config.group_commit_size):
-            return None
-        del self._pending[shard_id][key]
-        try:
-            return self._commit_with_failover(shard_id, group)
-        except (TamperedError, CrashError):
-            # Total trust-anchor loss, or the (injected) death of
-            # this very process: both outrank best-effort.
-            self._restore_group(shard_id, key, group)
-            raise
-        except WormError:
-            # Best-effort: keep the records queued (and journalled)
-            # for the next flush rather than bouncing the ingest.
-            self._restore_group(shard_id, key, group)
-            return None
 
     @property
     def pending_count(self) -> int:

@@ -46,8 +46,8 @@ from repro.crypto.envelope import SignedEnvelope
 from repro.crypto.keys import Certificate, CertificateAuthority
 from repro.faults.plan import FaultKind, FaultPlan
 from repro.obs.bus import NULL_BUS, TelemetryBus
-from repro.storage.journal import (IntentJournal, JournalEntry, LedgerEntry,
-                                   LedgerFold, _tag_to_json)
+from repro.storage.journal import (IntentJournal, JournalEntry, LedgerFold,
+                                   _commit_record, _tag_to_json)
 
 __all__ = [
     "ReplicationArtifact",
@@ -98,7 +98,7 @@ class ReplicationArtifact:
     artifacts strictly by ``seq`` (buffering gaps), so reordering in
     flight cannot interleave a delta ahead of the snapshot it extends.
     Streams are ``catalog:<shard_id>`` (kinds ``snapshot``/``delta``),
-    ``journal`` (mirrored intent-journal ops), and ``meta`` (the source
+    ``journal`` (mirrored intent-journal records), and ``meta`` (the source
     site's CA-certified SCPU certificates).
     """
 
@@ -267,8 +267,8 @@ class ReplicaSite:
     Applies incoming artifacts per stream in strict ``seq`` order,
     buffering gaps (the transport reorders); :meth:`ack` exposes each
     stream's contiguous frontier for the pump's retransmission logic.
-    Holds the replicated per-shard catalogs, the mirrored journal ops,
-    and the source site's certificates.  None of it is trusted: the
+    Holds the replicated per-shard catalogs, the mirrored journal
+    records, and the source site's certificates.  None of it is trusted: the
     recovery VERIFY stage checks every construct against the surviving
     SCPU authenticators before a byte of it is re-imported.
     """
@@ -277,7 +277,7 @@ class ReplicaSite:
         self._frontier: Dict[str, int] = {}
         self._buffered: Dict[str, Dict[int, ReplicationArtifact]] = {}
         self._shards: Dict[int, _ShardReplica] = {}
-        self._journal_ops: List[Dict[str, Any]] = []
+        self._journal_records: List[Dict[str, Any]] = []
         self.source_certificates: Tuple[Certificate, ...] = ()
         self.applied_count = 0
 
@@ -308,7 +308,7 @@ class ReplicaSite:
     def _apply_one(self, artifact: ReplicationArtifact) -> None:
         payload = artifact.payload
         if artifact.stream == "journal":
-            self._journal_ops.append(payload)
+            self._journal_records.append(payload)
         elif artifact.stream == "meta":
             certs = payload.get("certificates", ())
             self.source_certificates = tuple(certs)
@@ -374,17 +374,17 @@ class ReplicaSite:
             blocks.update(payload.get("blocks", {}))
         return image
 
-    def journal_ledger(self) -> List[LedgerEntry]:
-        """The mirrored journal, folded into ledger entries.
+    def journal_ledger(self) -> List[JournalEntry]:
+        """The mirrored journal records, folded as the journal folds them.
 
         This is recovery's zero-loss oracle: every write the primary
         acknowledged has an entry here (the mirror is synchronous), with
         ``committed``/``locator`` reflecting the last mirrored state.
         """
-        fold = LedgerFold("append")
-        for op in self._journal_ops:
-            fold.add(op)
-        return fold.entries()
+        fold = LedgerFold()
+        for record in self._journal_records:
+            fold.add(record)
+        return fold.ledger()
 
 
 class ReplicationPump:
@@ -579,10 +579,16 @@ class ReplicatedIntentJournal(IntentJournal):
     :meth:`~ReplicationTransport.send_sync` path, one artifact per
     appended entry, and apply at the :class:`ReplicaSite` before
     returning — so the moment an ingest is acknowledged, its intent
-    exists at both sites.  When the link is down past the transport's
-    retry budget the operation raises
+    exists at both sites.  The artifacts carry the ``submit`` and
+    ``commit`` records the file journal writes, and the replica folds
+    them as the journal does.  When the link is down past the
+    transport's retry budget the operation raises
     :class:`~repro.core.errors.ReplicationError` instead of
     acknowledging an unreplicated write.
+
+    The mirror's sequence numbers continue from the replica's journal
+    frontier, so a restarted primary wrapping its reopened journal over
+    the same replica is not taken for a retransmission and dropped.
 
     ``mark_committed`` mirrors best-effort by design: the write it
     acknowledges is already replicated (its append was), so a lost
@@ -601,7 +607,7 @@ class ReplicatedIntentJournal(IntentJournal):
         self._clock = clock
         self.obs = obs if obs is not None else NULL_BUS
         declare_replication_metrics(self.obs)
-        self._seq = 0
+        self._seq = replica.ack("journal")
 
     def _now(self) -> float:
         if self._clock is None:
@@ -609,13 +615,15 @@ class ReplicatedIntentJournal(IntentJournal):
         now = self._clock.now
         return now() if callable(now) else float(now)
 
-    def _mirror(self, op: Dict[str, Any], size: int) -> None:
-        self._seq += 1
+    def _mirror(self, record: Dict[str, Any], size: int) -> None:
         now = self._now()
         artifact = ReplicationArtifact(
-            stream="journal", seq=self._seq, kind="journal",
-            created_at=now, payload=op, size_bytes=size)
+            stream="journal", seq=self._seq + 1, kind="journal",
+            created_at=now, payload=record, size_bytes=size)
         delivered = self.transport.send_sync(artifact, now)
+        # Only a shipped artifact takes its number: one the link refused
+        # would leave a gap the standby buffers every later record behind.
+        self._seq += 1
         self.replica.apply(delivered)
         self.obs.inc("replication.journal_ops")
         self.obs.inc("replication.bytes_shipped", size)
@@ -628,12 +636,12 @@ class ReplicatedIntentJournal(IntentJournal):
         entry_ids = self.inner.append_many(payloads, kwargs, tags)
         for entry_id, payload, tag in zip(
                 entry_ids, payloads, tags or [None] * len(payloads)):
-            op: Dict[str, Any] = {"op": "append", "id": entry_id,
-                                  "payload": bytes(payload).hex(),
-                                  "kwargs": dict(kwargs)}
+            record: Dict[str, Any] = {"op": "submit", "id": entry_id,
+                                      "payload": bytes(payload).hex(),
+                                      "kwargs": dict(kwargs)}
             if tag is not None:
-                op["tag"] = _tag_to_json(tag)
-            self._mirror(op, len(payload) + 128)
+                record["tag"] = _tag_to_json(tag)
+            self._mirror(record, len(payload) + 128)
         return entry_ids
 
     def mark_committed(self, entry_ids: Iterable[int],
@@ -642,10 +650,7 @@ class ReplicatedIntentJournal(IntentJournal):
         self.inner.mark_committed(ids, locators)
         if not ids:
             return
-        op: Dict[str, Any] = {"op": "commit", "ids": ids}
-        if locators is not None:
-            op["locators"] = list(locators)
-        self._mirror(op, 32 * len(ids))
+        self._mirror(_commit_record(ids, locators), 32 * len(ids))
 
     def replay(self) -> List[JournalEntry]:
         return self.inner.replay()
@@ -653,5 +658,5 @@ class ReplicatedIntentJournal(IntentJournal):
     def pending_count(self) -> int:
         return self.inner.pending_count()
 
-    def ledger(self) -> List[LedgerEntry]:
+    def ledger(self) -> List[JournalEntry]:
         return self.inner.ledger()

@@ -32,11 +32,17 @@ The journal is untrusted main-CPU state, like the VRDT: it buys
 *availability* (no accepted record is forgotten), never integrity — the
 SCPU-signed constructs still carry every guarantee.
 
-Two backends share the interface: :class:`MemoryIntentJournal` (tests,
-simulated crashes) and :class:`FileIntentJournal` (append-only JSONL on
-real disk, surviving process restarts).  A third,
+A journal's history is one :class:`LedgerFold` of two record kinds,
+``submit`` (an intent) and ``commit`` (acknowledged ids and their
+locators), and :class:`JournalEntry` is its one entry type.  Two
+backends share the interface: :class:`MemoryIntentJournal` (tests,
+simulated crashes) folds each call as it comes, and
+:class:`FileIntentJournal` (append-only JSONL on real disk, surviving
+process restarts) writes the records as lines and folds its file on
+each read.  A third,
 :class:`repro.recovery.replication.ReplicatedIntentJournal`, wraps
-either and mirrors every operation to a standby site.
+either and mirrors the same records to a standby site, which folds
+them the same way.
 """
 
 from __future__ import annotations
@@ -51,36 +57,26 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.errors import JournalError
 
-__all__ = ["JournalEntry", "LedgerEntry", "LedgerFold", "IntentJournal",
+__all__ = ["JournalEntry", "LedgerFold", "IntentJournal",
            "MemoryIntentJournal", "FileIntentJournal"]
 
 
 @dataclass(frozen=True)
 class JournalEntry:
-    """One journalled submission: the payload and its write parameters.
+    """One journalled submission: the payload, its write parameters and
+    its outcome.
 
     ``tag`` is the caller's opaque correlation handle (``None`` when
     untracked).  Tags must be JSON-safe; tuples survive the round trip
     (JSON lists are converted back on load) so the ``(tenant, ticket)``
     tags of the service layer replay intact.
-    """
 
-    entry_id: int
-    payload: bytes
-    kwargs: Dict[str, Any]
-    tag: Optional[object] = None
-
-
-@dataclass(frozen=True)
-class LedgerEntry:
-    """One journal entry's full history: intent plus commit outcome.
-
-    ``committed`` is True once the entry was acknowledged;
-    ``locator`` is the packed record locator recorded at commit time
-    (``None`` for pre-locator journals or callers that did not pass
-    one).  The recovery RESUME stage keys on exactly this pair: an
-    uncommitted entry is re-queued, and a committed entry whose locator
-    never made it into the replicated catalog is re-committed.
+    ``committed`` is True once the entry was acknowledged; ``locator``
+    is the packed record locator recorded at commit time (``None`` when
+    the caller passed none).  The recovery RESUME stage keys on exactly
+    this pair: an uncommitted entry is re-queued, and a committed entry
+    whose locator never made it into the replicated catalog is
+    re-committed.
     """
 
     entry_id: int
@@ -91,10 +87,10 @@ class LedgerEntry:
     locator: Optional[str] = None
 
 
-def _check_kwargs(kwargs: Dict[str, Any]) -> Dict[str, Any]:
-    """Write kwargs must survive a JSON round-trip to be journalable."""
+def _kwargs_text(kwargs: Dict[str, Any]) -> str:
+    """The write kwargs' JSON text: journalable means JSON-safe."""
     try:
-        return json.loads(json.dumps(kwargs))
+        return json.dumps(kwargs)
     except (TypeError, ValueError) as exc:
         raise JournalError(
             f"write parameters are not journalable (must be JSON-safe): "
@@ -154,58 +150,84 @@ def _submit_line(entry_id: int, payload: bytes, kwargs_text: bytes,
                            kwargs_text, tag)
 
 
-class LedgerFold:
-    """Journal records folded into ledger entries, each built once.
+def _commit_record(entry_ids: List[int],
+                   locators: Optional[Sequence[Optional[str]]]
+                   ) -> Dict[str, Any]:
+    """The ``commit`` record acknowledging *entry_ids*."""
+    record: Dict[str, Any] = {"op": "commit", "ids": entry_ids}
+    if locators is not None:
+        record["locators"] = list(locators)
+    return record
 
-    Both journals with a record history fold it here: the file journal's
-    ``submit`` lines and the replica's mirrored ``append`` ops are
-    intents (*intent_op* names which), and ``commit`` records mark
-    already-journalled ids committed with their locators.  :meth:`add`
-    parses a record as it comes (a malformed one raises ``KeyError``,
-    ``ValueError`` or ``TypeError``); :meth:`entries` builds the
-    :class:`LedgerEntry` list, in intent order, however many commits
-    touched an entry.
+
+def _commit_line(entry_ids: List[int],
+                 locators: Optional[Sequence[Optional[str]]]) -> bytes:
+    return (json.dumps(_commit_record(entry_ids, locators)) + "\n").encode()
+
+
+class LedgerFold:
+    """A journal's history: each entry once, in intent order.
+
+    :meth:`intent` journals an uncommitted entry (replacing any earlier
+    one under its id); :meth:`commit` marks journalled ids committed
+    with their locators (unknown ids are ignored, and a later mark's
+    locator replaces an earlier one).  :meth:`add` only parses one
+    journal record — a ``submit`` or ``commit`` line as the file journal
+    writes it and the replica receives it — into those calls; a
+    malformed record raises ``KeyError``, ``ValueError`` or
+    ``TypeError``.  :meth:`replay`, :meth:`ledger` and
+    :meth:`pending_count` are the journal's views of the fold.
     """
 
-    def __init__(self, intent_op: str) -> None:
-        self._intent_op = intent_op
+    def __init__(self) -> None:
         self._intents: Dict[int, Tuple[bytes, Dict[str, Any],
                                        Optional[object]]] = {}
         self._commits: Dict[int, Optional[str]] = {}
-        self._order: List[int] = []
+
+    def intent(self, entry_id: int, payload: bytes, kwargs: Dict[str, Any],
+               tag: Optional[object] = None) -> None:
+        self._intents[entry_id] = (payload, kwargs, tag)
+        self._commits.pop(entry_id, None)
+
+    def commit(self, entry_ids: Sequence[int],
+               locators: Optional[Sequence[Optional[str]]] = None) -> None:
+        for entry_id, locator in zip(entry_ids,
+                                     locators or [None] * len(entry_ids)):
+            if entry_id in self._intents:
+                self._commits[entry_id] = locator
 
     def add(self, record: Dict[str, Any]) -> None:
         """Fold one journal record in."""
         op = record["op"]
-        if op == self._intent_op:
-            entry_id = int(record["id"])
-            self._intents[entry_id] = (bytes.fromhex(record["payload"]),
-                                       dict(record["kwargs"]),
-                                       _tag_from_json(record.get("tag")))
-            self._commits.pop(entry_id, None)
-            self._order.append(entry_id)
+        if op == "submit":
+            self.intent(int(record["id"]), bytes.fromhex(record["payload"]),
+                        dict(record["kwargs"]),
+                        _tag_from_json(record.get("tag")))
         elif op == "commit":
-            ids = [int(i) for i in record["ids"]]
-            locators = record.get("locators") or [None] * len(ids)
-            for entry_id, locator in zip(ids, locators):
-                if entry_id in self._intents:
-                    self._commits[entry_id] = locator
+            self.commit([int(i) for i in record["ids"]],
+                        record.get("locators"))
         else:
             raise KeyError(op)  # wormlint: disable=W005 - a malformed record, reported by the caller
 
     @property
     def highest_id(self) -> int:
         """The highest entry id journalled (0 when none)."""
-        return max(self._order, default=0)
+        return max(self._intents, default=0)
 
-    def entries(self) -> List[LedgerEntry]:
-        built = {entry_id: LedgerEntry(
-                     entry_id=entry_id, payload=payload, kwargs=kwargs,
-                     tag=tag, committed=entry_id in self._commits,
-                     locator=self._commits.get(entry_id))
-                 for entry_id, (payload, kwargs, tag)
-                 in self._intents.items()}
-        return [built[entry_id] for entry_id in self._order]
+    def pending_count(self) -> int:
+        return len(self._intents) - len(self._commits)
+
+    def replay(self) -> List[JournalEntry]:
+        return [JournalEntry(entry_id, *intent)
+                for entry_id, intent in self._intents.items()
+                if entry_id not in self._commits]
+
+    def ledger(self) -> List[JournalEntry]:
+        commits = self._commits
+        return [JournalEntry(entry_id, payload, kwargs, tag,
+                             entry_id in commits, commits.get(entry_id))
+                for entry_id, (payload, kwargs, tag)
+                in self._intents.items()]
 
 
 class IntentJournal(ABC):
@@ -253,16 +275,9 @@ class IntentJournal(ABC):
     def pending_count(self) -> int:
         """Entries appended but not yet acknowledged."""
 
-    def ledger(self) -> List[LedgerEntry]:
-        """Full history in submission order (committed entries included).
-
-        Backends that discard committed entries may return only what
-        they still know; the default derives a pending-only view from
-        :meth:`replay` so legacy backends stay conformant.
-        """
-        return [LedgerEntry(entry_id=e.entry_id, payload=e.payload,
-                            kwargs=e.kwargs, tag=e.tag)
-                for e in self.replay()]
+    @abstractmethod
+    def ledger(self) -> List[JournalEntry]:
+        """Full history in submission order (committed entries included)."""
 
 
 class MemoryIntentJournal(IntentJournal):
@@ -271,55 +286,33 @@ class MemoryIntentJournal(IntentJournal):
 
     def __init__(self) -> None:
         self._next_id = 1
-        self._entries: Dict[int, JournalEntry] = {}
-        self._order: List[int] = []
-        # Full history for ledger(): entry_id -> (committed, locator).
-        self._outcomes: Dict[int, Any] = {}
-        self._history: Dict[int, JournalEntry] = {}
+        self._fold = LedgerFold()
 
     def append_many(self, payloads: Sequence[bytes], kwargs: Dict[str, Any],
                     tags: Optional[Sequence[Optional[object]]] = None
                     ) -> List[int]:
-        checked = _check_kwargs(kwargs)
+        _kwargs_text(kwargs)
         _tag_texts(tags, len(payloads))  # every tag checked before any entry
-        entry_ids: List[int] = []
-        for payload, tag in zip(payloads, tags or [None] * len(payloads)):
-            entry_id = self._next_id
-            self._next_id += 1
-            entry = JournalEntry(entry_id=entry_id, payload=bytes(payload),
-                                 kwargs=dict(checked), tag=tag)
-            self._entries[entry_id] = entry
-            self._history[entry_id] = entry
-            self._outcomes[entry_id] = (False, None)
-            self._order.append(entry_id)
-            entry_ids.append(entry_id)
-        return entry_ids
+        first = self._next_id
+        self._next_id += len(payloads)
+        for entry_id, payload, tag in zip(
+                range(first, self._next_id), payloads,
+                tags or [None] * len(payloads)):
+            self._fold.intent(entry_id, bytes(payload), dict(kwargs), tag)
+        return list(range(first, self._next_id))
 
     def mark_committed(self, entry_ids: Iterable[int],
                        locators: Optional[Sequence[str]] = None) -> None:
-        ids = list(entry_ids)
-        locs = list(locators) if locators is not None else [None] * len(ids)
-        for entry_id, locator in zip(ids, locs):
-            self._entries.pop(entry_id, None)
-            if entry_id in self._outcomes:
-                self._outcomes[entry_id] = (True, locator)
+        self._fold.commit(list(entry_ids), locators)
 
     def replay(self) -> List[JournalEntry]:
-        return [self._entries[i] for i in self._order if i in self._entries]
+        return self._fold.replay()
 
     def pending_count(self) -> int:
-        return len(self._entries)
+        return self._fold.pending_count()
 
-    def ledger(self) -> List[LedgerEntry]:
-        out: List[LedgerEntry] = []
-        for entry_id in self._order:
-            entry = self._history[entry_id]
-            committed, locator = self._outcomes[entry_id]
-            out.append(LedgerEntry(
-                entry_id=entry_id, payload=entry.payload,
-                kwargs=entry.kwargs, tag=entry.tag,
-                committed=committed, locator=locator))
-        return out
+    def ledger(self) -> List[JournalEntry]:
+        return self._fold.ledger()
 
 
 class FileIntentJournal(IntentJournal):
@@ -332,10 +325,11 @@ class FileIntentJournal(IntentJournal):
     writes one submit line per payload through one handle and fsyncs
     once; a crash that tears it leaves a prefix of its bytes, whose
     complete lines replay (none was acknowledged) and whose torn last
-    line is healed on open.  :meth:`compact` rewrites the file down to
-    the unacknowledged entries (call it from a maintenance window;
-    replay correctness never requires it — but it discards ledger
-    history for the compacted-away entries).
+    line is healed on open.  :meth:`replay` and :meth:`ledger` fold the
+    file each call, so no payload stays in memory.  :meth:`compact`
+    rewrites the file down to the unacknowledged entries (call it from a
+    maintenance window; replay correctness never requires it — but it
+    discards ledger history for the compacted-away entries).
     """
 
     def __init__(self, path: os.PathLike) -> None:
@@ -343,9 +337,9 @@ class FileIntentJournal(IntentJournal):
         self._path.parent.mkdir(parents=True, exist_ok=True)
         self._next_id = 1
         self._heal_torn_tail()
-        # The scan seeds _next_id past every id ever journalled; after
+        # The fold seeds _next_id past every id ever journalled; after
         # it, each fsynced append or commit mark keeps the pending ids.
-        self._pending = {entry.entry_id for entry in self._load()}
+        self._pending = {entry.entry_id for entry in self.replay()}
 
     @property
     def path(self) -> Path:
@@ -372,13 +366,13 @@ class FileIntentJournal(IntentJournal):
             handle.flush()
             os.fsync(handle.fileno())
 
-    def _scan(self) -> List[LedgerEntry]:
-        """Parse the file into ledger entries (torn tail tolerated)."""
+    def _fold(self) -> LedgerFold:
+        """Fold the file's records (a torn final line tolerated)."""
+        fold = LedgerFold()
         if not self._path.exists():
-            return []
-        fold = LedgerFold("submit")
-        for line_no, line in enumerate(
-                self._path.read_text().splitlines(), start=1):
+            return fold
+        lines = self._path.read_text().splitlines()
+        for line_no, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
             try:
@@ -386,20 +380,12 @@ class FileIntentJournal(IntentJournal):
             except (KeyError, ValueError, TypeError) as exc:
                 # A torn final line (crash mid-append) is expected and
                 # safely ignorable; garbage earlier in the file is not.
-                if line_no == self._line_count():
+                if line_no == len(lines):
                     continue
                 raise JournalError(
                     f"corrupt journal line {line_no} in {self._path}") from exc
         self._next_id = max(self._next_id, fold.highest_id + 1)
-        return fold.entries()
-
-    def _load(self) -> List[JournalEntry]:
-        return [JournalEntry(entry_id=e.entry_id, payload=e.payload,
-                             kwargs=e.kwargs, tag=e.tag)
-                for e in self._scan() if not e.committed]
-
-    def _line_count(self) -> int:
-        return len(self._path.read_text().splitlines())
+        return fold
 
     def _append_lines(self, lines: Iterable[bytes]) -> None:
         """Append *lines* through one handle, then fsync once."""
@@ -412,7 +398,7 @@ class FileIntentJournal(IntentJournal):
     def append_many(self, payloads: Sequence[bytes], kwargs: Dict[str, Any],
                     tags: Optional[Sequence[Optional[object]]] = None
                     ) -> List[int]:
-        kwargs_text = json.dumps(_check_kwargs(kwargs)).encode()
+        kwargs_text = _kwargs_text(kwargs).encode()
         tag_texts = _tag_texts(tags, len(payloads))
         if not payloads:
             return []
@@ -431,38 +417,43 @@ class FileIntentJournal(IntentJournal):
         ids = [int(i) for i in entry_ids]
         if not ids:
             return
-        record: Dict[str, Any] = {"op": "commit", "ids": ids}
-        if locators is not None:
-            record["locators"] = list(locators)
-        self._append_lines([(json.dumps(record) + "\n").encode()])
+        self._append_lines([_commit_line(ids, locators)])
         self._pending.difference_update(ids)
 
     def replay(self) -> List[JournalEntry]:
-        return self._load()
+        return self._fold().replay()
 
     def pending_count(self) -> int:
         return len(self._pending)
 
-    def ledger(self) -> List[LedgerEntry]:
-        return self._scan()
+    def ledger(self) -> List[JournalEntry]:
+        return self._fold().ledger()
 
     def compact(self) -> int:
         """Rewrite the file keeping only unacknowledged entries.
 
-        Returns the number of live entries kept.  Writes to a temp file
-        and renames, so a crash mid-compaction leaves either the old or
-        the new journal intact.
+        Returns the number of live entries kept.  A committed newest
+        entry keeps its submit line and a commit mark too: it holds the
+        id high-water mark, so a reopened journal never hands out a
+        compacted-away id again.  Writes to a temp file and renames, so
+        a crash mid-compaction leaves either the old or the new journal
+        intact.
         """
-        live = self._load()
+        ledger = self._fold().ledger()
+        kept = [entry for entry in ledger
+                if not entry.committed or entry is ledger[-1]]
         tmp = self._path.with_suffix(self._path.suffix + ".tmp")
-        tag_texts = _tag_texts([entry.tag for entry in live], len(live))
+        tag_texts = _tag_texts([entry.tag for entry in kept], len(kept))
         with open(tmp, "wb") as handle:
-            for entry, tag_text in zip(live, tag_texts):  # wormlint: disable=W009 - file writes, not card crossings
+            for entry, tag_text in zip(kept, tag_texts):  # wormlint: disable=W009 - file writes, not card crossings
                 handle.write(_submit_line(
                     entry.entry_id, entry.payload,
                     json.dumps(entry.kwargs).encode(), tag_text))
+                if entry.committed:
+                    handle.write(_commit_line(
+                        [entry.entry_id],
+                        None if entry.locator is None else [entry.locator]))
             handle.flush()
             os.fsync(handle.fileno())
         tmp.replace(self._path)
-        return len(live)
-
+        return sum(not entry.committed for entry in kept)

@@ -102,6 +102,19 @@ class TestTransportFaults:
         assert len(replica.journal_ledger()) == 1
         assert transport.sync_delay_seconds > 0
 
+    def test_a_refused_write_leaves_no_gap_in_the_mirror(self):
+        # The link drops every attempt of the first ship, then recovers:
+        # the next write must reach the standby, not queue behind the
+        # refused one's sequence number.
+        plan = FaultPlan().transient(after_ops=1, op="replicate.sync",
+                                     count=8)
+        store, transport, replica, pump = build_primary(plan=plan)
+        with pytest.raises(ReplicationError):
+            store.submit(b"refused")
+        store.submit(b"acknowledged")
+        assert [e.payload for e in replica.journal_ledger()] == [
+            b"acknowledged"]
+
 
 class TestJournalMirror:
     def test_every_acknowledged_write_has_a_mirrored_entry(self):

@@ -7,6 +7,8 @@ import json
 import pytest
 
 from repro.core.errors import JournalError
+from repro.recovery import (ReplicaSite, ReplicatedIntentJournal,
+                            ReplicationTransport)
 from repro.storage.journal import (
     FileIntentJournal,
     MemoryIntentJournal,
@@ -14,14 +16,25 @@ from repro.storage.journal import (
 )
 
 
-@pytest.fixture(params=["memory", "file"])
+@pytest.fixture(params=["memory", "file", "replicated"])
 def journal(request, tmp_path):
     if request.param == "memory":
         return MemoryIntentJournal()
-    return FileIntentJournal(tmp_path / "intent.jsonl")
+    if request.param == "file":
+        return FileIntentJournal(tmp_path / "intent.jsonl")
+    return ReplicatedIntentJournal(MemoryIntentJournal(),
+                                   ReplicationTransport(), ReplicaSite())
 
 
 class TestJournalContract:
+    @pytest.fixture(autouse=True)
+    def mirror_matches_the_ledger(self, journal):
+        """After each test, a replicated journal's standby folds the
+        very ledger the primary keeps, field for field."""
+        yield
+        if isinstance(journal, ReplicatedIntentJournal):
+            assert journal.replica.journal_ledger() == journal.ledger()
+
     def test_append_replay_roundtrip(self, journal):
         a = journal.append(b"alpha", {"policy": "sox"})
         b = journal.append(b"beta", {})
@@ -48,6 +61,21 @@ class TestJournalContract:
     def test_non_json_kwargs_rejected(self, journal):
         with pytest.raises(JournalError):
             journal.append(b"x", {"bad": object()})
+        assert journal.ledger() == []
+
+    def test_ledger_keeps_tags_and_locators(self, journal):
+        a, b, c = journal.append_many([b"alpha", b"beta", b"gamma"],
+                                      {"policy": "sox"},
+                                      [("acme", "t-1"), None, "t-3"])
+        journal.mark_committed([a, c], ["0:1:0", "1:1:0"])
+        assert journal.ledger() == [
+            JournalEntry(a, b"alpha", {"policy": "sox"}, ("acme", "t-1"),
+                         committed=True, locator="0:1:0"),
+            JournalEntry(b, b"beta", {"policy": "sox"}),
+            JournalEntry(c, b"gamma", {"policy": "sox"}, "t-3",
+                         committed=True, locator="1:1:0")]
+        assert journal.replay() == [journal.ledger()[1]]
+        assert journal.pending_count() == 1
 
 
 class TestFileJournal:
@@ -102,6 +130,14 @@ class TestFileJournal:
         assert lines[0]["id"] == ids[3]
         # Still replayable after compaction.
         assert FileIntentJournal(path).pending_count() == 1
+
+    def test_compaction_keeps_the_id_high_water_mark(self, tmp_path):
+        path = tmp_path / "intent.jsonl"
+        journal = FileIntentJournal(path)
+        ids = [journal.append(b"p%d" % i, {}) for i in range(4)]
+        journal.mark_committed(ids[1:])
+        assert journal.compact() == 1
+        assert FileIntentJournal(path).append(b"next", {}) == 5
 
     def test_entry_is_frozen_value(self):
         entry = JournalEntry(entry_id=1, payload=b"x", kwargs={})
@@ -187,3 +223,29 @@ class TestTornFinalSegment:
             handle.write("\n")
         recovered = FileIntentJournal(path)
         assert [e.entry_id for e in recovered.replay()] == [b]
+
+
+class TestRestartedPrimary:
+    def test_every_entry_reaches_the_standby_once(self, tmp_path):
+        """A primary restarted over its compacted file journal keeps
+        mirroring to the same standby: nothing it writes is dropped as
+        a retransmission, no id is handed out twice, and the commits
+        mirrored before the restart stand."""
+        path = tmp_path / "intent.jsonl"
+        transport, replica = ReplicationTransport(), ReplicaSite()
+        first = ReplicatedIntentJournal(FileIntentJournal(path), transport,
+                                        replica)
+        ids = first.append_many([b"a", b"b", b"c", b"d"], {})
+        first.mark_committed(ids[1:], ["0:1:0", "0:2:0", "0:3:0"])
+        first.inner.compact()
+        second = ReplicatedIntentJournal(FileIntentJournal(path), transport,
+                                         replica)
+        after = second.append(b"after-restart", {}, tag=("acme", "t-9"))
+        second.mark_committed([ids[0]], ["1:1:0"])
+        assert after == 5
+        assert replica.journal_ledger() == [
+            JournalEntry(1, b"a", {}, committed=True, locator="1:1:0"),
+            JournalEntry(2, b"b", {}, committed=True, locator="0:1:0"),
+            JournalEntry(3, b"c", {}, committed=True, locator="0:2:0"),
+            JournalEntry(4, b"d", {}, committed=True, locator="0:3:0"),
+            JournalEntry(5, b"after-restart", {}, ("acme", "t-9"))]
